@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +174,22 @@ def _solver_from(cfg) -> SolverConfig:
     )
 
 
+def _finite_or_null(obj):
+    """Copy of a JSON payload with every non-finite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
+def _json(obj, **kwargs) -> str:
+    """Strict JSON: non-finite floats become null, never a bare NaN or Infinity."""
+    return json.dumps(_finite_or_null(obj), allow_nan=False, sort_keys=True, **kwargs)
+
+
 def _emit(msg, quiet):
     if not quiet:
         print(msg)
@@ -191,7 +206,7 @@ def _mode_alpha0(cfg, outdir, quiet):
 
 def _mode_validate(cfg, outdir, quiet):
     verdict = validate_params(_params_from(cfg))
-    payload = json.dumps(verdict.to_json(), indent=2, sort_keys=True)
+    payload = _json(verdict.to_json(), indent=2)
     if outdir is not None:
         (outdir / "verdict.json").write_text(payload + "\n")
     else:
@@ -239,7 +254,7 @@ def _mode_energies(cfg, outdir, quiet):
         fh.write(",".join(f"{x:.17g}" for x in
                           (rep.s, rep.Ia2, rep.Ea2, rep.Ic2, rep.Ec2, rep.T_k_eta)) + "\n")
     (outdir / "verdict.json").write_text(
-        json.dumps(verdict.to_json(), indent=2, sort_keys=True) + "\n")
+        _json(verdict.to_json(), indent=2) + "\n")
     _emit(f"energies: closeness {'pass' if verdict.passed else 'FAIL'}", quiet)
     return 0
 
@@ -261,7 +276,7 @@ def _mode_fit(cfg, outdir, quiet):
     traj = _load_trajectory_csv(Path(src))
     T_hat = estimate_T(traj, cfg["fit.tail_fraction"])
     fit = fit_rates(traj, T_hat, cfg["fit.tail_fraction"])
-    (outdir / "fit.json").write_text(json.dumps(fit.to_json(), indent=2, sort_keys=True) + "\n")
+    (outdir / "fit.json").write_text(_json(fit.to_json(), indent=2) + "\n")
     with open(outdir / "rates.csv", "w") as fh:
         fh.write("Z,exponent\n")
         for z, e in fit.pointwise:
@@ -273,7 +288,7 @@ def _mode_fit(cfg, outdir, quiet):
 def _mode_redecompose(cfg, outdir, quiet):
     lam_bar, nu_bar = initial_data.redecompose(
         cfg["redecompose.lam"], cfg["redecompose.nu"], cfg["redecompose.atil0"])
-    payload = json.dumps({"lam_bar": lam_bar, "nu_bar": nu_bar}, sort_keys=True)
+    payload = _json({"lam_bar": lam_bar, "nu_bar": nu_bar})
     print(payload)
     if outdir is not None:
         (outdir / "redecompose.json").write_text(payload + "\n")
@@ -291,8 +306,7 @@ def _mode_sweep(cfg, outdir, quiet):
     if sub_mode not in MODES or sub_mode == "sweep":
         raise ConfigError(f"sweep.mode {sub_mode!r} invalid")
 
-    def one(idx_value):
-        idx, raw = idx_value
+    def one(idx, raw):
         sub = dict(cfg)
         sub[key] = _parse_value(key, raw)
         sub["mode"] = sub_mode
@@ -301,8 +315,7 @@ def _mode_sweep(cfg, outdir, quiet):
         write_resolved(sub, subdir)
         return _DISPATCH[sub_mode](sub, subdir, True)
 
-    with ThreadPoolExecutor(max_workers=min(4, len(values))) as pool:
-        codes = list(pool.map(one, enumerate(values)))
+    codes = [one(idx, raw) for idx, raw in enumerate(values)]
     _emit(f"sweep: {len(values)} runs over {key}", quiet)
     return max(codes)
 

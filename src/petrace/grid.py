@@ -4,6 +4,12 @@ Everything else in the package is built on the four operations here:
 cumulative antiderivative, finite-difference derivatives, definite
 integrals, and cubic resampling between grids.  All operations are
 deterministic: identical inputs produce bit-identical outputs.
+
+The antiderivative and first-derivative kernels (``cumulative``, ``d1``,
+``d1_upwind``) act along the last axis of their input, so a stack of
+fields sampled on one grid is processed in one call, with every row
+bit-identical to the 1-D result; ``definite``, ``d1_at_lo`` and ``d2``
+take 1-D samples.
 """
 from __future__ import annotations
 
@@ -70,8 +76,17 @@ class Field:
 # inner loops)
 # ---------------------------------------------------------------------------
 
+def _simpson_pairs(v: np.ndarray, h: float, m: int) -> np.ndarray:
+    """Composite-Simpson integrals over the m node pairs [2i, 2i+2]."""
+    pair = 4.0 * v[..., 1:2 * m:2]
+    pair += v[..., 0:2 * m - 1:2]
+    pair += v[..., 2:2 * m + 1:2]
+    pair *= h / 3.0
+    return pair
+
+
 def cumulative(v: np.ndarray, h: float) -> np.ndarray:
-    """Antiderivative samples with g[0] = 0.
+    """Antiderivative samples along the last axis, with g[..., 0] = 0.
 
     Composite Simpson on node pairs gives the even nodes; odd nodes use the
     local half-cell rule h*(5 f_i + 8 f_{i+1} - f_{i+2})/12.  If the node
@@ -79,35 +94,68 @@ def cumulative(v: np.ndarray, h: float) -> np.ndarray:
     last entry always equals the composite-Simpson/trapezoid definite
     integral.
     """
-    n = v.shape[0]
-    g = np.empty(n)
-    g[0] = 0.0
+    n = v.shape[-1]
+    g = np.empty(v.shape)
+    g[..., 0] = 0.0
     m = (n - 1) // 2
     if m > 0:
-        pair = (h / 3.0) * (v[0:2 * m - 1:2] + 4.0 * v[1:2 * m:2] + v[2:2 * m + 1:2])
-        g[2:2 * m + 1:2] = np.cumsum(pair)
-        g[1:2 * m:2] = g[0:2 * m - 1:2] + (h / 12.0) * (
-            5.0 * v[0:2 * m - 1:2] + 8.0 * v[1:2 * m:2] - v[2:2 * m + 1:2]
-        )
+        np.add.accumulate(_simpson_pairs(v, h, m), axis=-1, out=g[..., 2:2 * m + 1:2])
+        half = 5.0 * v[..., 0:2 * m - 1:2]
+        half += 8.0 * v[..., 1:2 * m:2]
+        half -= v[..., 2:2 * m + 1:2]
+        half *= h / 12.0
+        half += g[..., 0:2 * m - 1:2]
+        g[..., 1:2 * m:2] = half
     if n % 2 == 0:
-        g[-1] = g[-2] + 0.5 * h * (v[-2] + v[-1])
+        g[..., -1:] = g[..., -2:-1] + 0.5 * h * (v[..., -2:-1] + v[..., -1:])
     return g
 
 
 def definite(v: np.ndarray, h: float) -> float:
-    """Definite integral: bit-identical to the last entry of ``cumulative``."""
-    return float(cumulative(v, h)[-1])
+    """Definite integral of 1-D samples: bit-identical to the last entry of ``cumulative``.
+
+    Only the Simpson pair sums and their running sum are formed, not the
+    odd-node half cells.
+    """
+    n = v.shape[0]
+    m = (n - 1) // 2
+    total = 0.0
+    if m > 0:
+        total = np.add.accumulate(_simpson_pairs(v, h, m))[-1]
+    if n % 2 == 0:
+        total = total + 0.5 * h * (v[-2] + v[-1])
+    return float(total)
+
+
+# One-sided 4th-order edge stencils of d1, laid out for a gather: column j
+# holds the weights of output node _D1_EDGE_OUT[j] on the input nodes in
+# column j of _D1_EDGE_IN, end node first.  The five weighted rows are
+# summed in order, the same sums as the written-out scalar stencils.
+_D1_EDGE_IN = np.array([[0, 0, -1, -1], [1, 1, -2, -2], [2, 2, -3, -3],
+                        [3, 3, -4, -4], [4, 4, -5, -5]])
+_D1_EDGE_W = np.array([[-25.0, -3.0, 3.0, 25.0], [48.0, -10.0, 10.0, -48.0],
+                       [-36.0, 18.0, -18.0, 36.0], [16.0, -6.0, 6.0, -16.0],
+                       [-3.0, 1.0, -1.0, 3.0]])
+_D1_EDGE_OUT = np.array([0, 1, -2, -1])
 
 
 def d1(v: np.ndarray, h: float) -> np.ndarray:
-    """First derivative, 4th order: 5-point central interior, one-sided at the edges."""
-    out = np.empty_like(v)
+    """First derivative along the last axis, 4th order: 5-point central
+    interior, one-sided at the edges."""
+    out = np.empty(v.shape)
     c = 1.0 / (12.0 * h)
-    out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) * c
-    out[0] = (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) * c
-    out[1] = (-3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]) * c
-    out[-2] = -(-3.0 * v[-1] - 10.0 * v[-2] + 18.0 * v[-3] - 6.0 * v[-4] + v[-5]) * c
-    out[-1] = -(-25.0 * v[-1] + 48.0 * v[-2] - 36.0 * v[-3] + 16.0 * v[-4] - 3.0 * v[-5]) * c
+    # the central stencil runs once over the flattened rows; the two nodes
+    # at each end of a row mix neighbouring rows there and are overwritten
+    # by the edge stencils below
+    w = v.reshape(-1)
+    inner = w[:-4] - 8.0 * w[1:-3]
+    inner += 8.0 * w[3:-1]
+    inner -= w[4:]
+    inner *= c
+    out.reshape(-1)[2:-2] = inner
+    edge = v[..., _D1_EDGE_IN]
+    edge *= _D1_EDGE_W
+    out[..., _D1_EDGE_OUT] = np.add.reduce(edge, axis=-2) * c
     return out
 
 
@@ -124,13 +172,15 @@ def d1_at_lo(v: np.ndarray, h: float) -> float:
 
 
 def d1_upwind(v: np.ndarray, h: float, speed: np.ndarray) -> np.ndarray:
-    """First-order upwind derivative for transport with the given speed field."""
+    """First-order upwind derivative along the last axis for transport with
+    the given speed field."""
+    diff = (v[..., 1:] - v[..., :-1]) / h
     back = np.empty_like(v)
     fwd = np.empty_like(v)
-    back[1:] = (v[1:] - v[:-1]) / h
-    back[0] = (v[1] - v[0]) / h
-    fwd[:-1] = (v[1:] - v[:-1]) / h
-    fwd[-1] = (v[-1] - v[-2]) / h
+    back[..., 1:] = diff
+    back[..., 0] = diff[..., 0]
+    fwd[..., :-1] = diff
+    fwd[..., -1] = diff[..., -1]
     return np.where(speed >= 0.0, back, fwd)
 
 

@@ -36,6 +36,10 @@ class TraceState:
     c: Field
     sigma: int
     t: float = 0.0
+    # integral of a over [0, 1] (its mean) and max|a|, computed once by the
+    # validation below and reused by the stepper and the run recorder
+    mean_a: float = field(init=False, repr=False, compare=False)
+    max_a: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sigma not in (0, 1):
@@ -46,9 +50,11 @@ class TraceState:
         if abs(ga.lo) > 1e-12 or abs(ga.hi - 1.0) > 1e-12:
             raise ValueError("trace fields live on [0, 1]")
         mean = definite(self.a.values, ga.h)
-        scale = max(1.0, self.a.max_abs())
-        if abs(mean) > _MEAN_TOL * scale:
+        amax = self.a.max_abs()
+        if abs(mean) > _MEAN_TOL * max(1.0, amax):
             raise ValueError(f"compatibility condition violated: integral(a) = {mean:g}")
+        object.__setattr__(self, "mean_a", mean)
+        object.__setattr__(self, "max_a", amax)
         if self.sigma == 1:
             cscale = max(1.0, self.c.max_abs())
             if abs(self.c.values[0]) > _BC_TOL * cscale or abs(self.c.values[-1]) > _BC_TOL * cscale:
@@ -93,29 +99,37 @@ class StepResult:
 # right-hand side
 # ---------------------------------------------------------------------------
 
-def _rhs(va, vc, h, sigma, upwind=False, diffusion=True):
-    A = cumulative(va, h)
-    C = cumulative(vc, h)
-    if upwind:
-        aZ = d1_upwind(va, h, A)
-        cZ = d1_upwind(vc, h, A)
-    else:
-        aZ = d1(va, h)
-        cZ = d1(vc, h)
-    K = definite(2.0 * va * va - C, h)
-    da = va * va - A * aZ - C - K
-    dc = 2.0 * va * vc - A * cZ
+def _rhs(u, h, sigma, upwind=False, diffusion=True, P=None):
+    """Time derivative of the stacked state u = (a, c), shape (2, n).
+
+    P, if given, is ``cumulative(u, h)``: the running integrals (A, C)."""
+    if P is None:
+        P = cumulative(u, h)
+    va, vc = u
+    A, C = P
+    sq = va * va
+    K = definite(2.0 * sq - C, h)
+    # k starts as the transport terms -A u_Z; adding the sources in place
+    # gives the same floating-point sums as a^2 - A a_Z - C - K and
+    # 2 a c - A c_Z
+    k = d1_upwind(u, h, A) if upwind else d1(u, h)
+    k *= -A
+    k[0] += sq
+    k[0] -= C
+    k[0] -= K
+    k[1] += 2.0 * va * vc
     if sigma == 1:
         if diffusion:
-            dc = dc + d2(vc, h)
-        dc[0] = 0.0
-        dc[-1] = 0.0
-    return da, dc
+            k[1] += d2(vc, h)
+        k[1, 0] = 0.0
+        k[1, -1] = 0.0
+    return k
 
 
 def trace_rhs(state: TraceState, upwind: bool = False) -> tuple[Field, Field]:
     """Instantaneous time derivative (da, dc) of the trace system."""
-    da, dc = _rhs(state.a.values, state.c.values, state.grid.h, state.sigma, upwind=upwind)
+    u = np.stack((state.a.values, state.c.values))
+    da, dc = _rhs(u, state.grid.h, state.sigma, upwind=upwind)
     return Field(state.grid, da), Field(state.grid, dc)
 
 
@@ -141,26 +155,26 @@ def _cn_half(vc, h, tau):
     return solve_banded((1, 1), ab, rhs)
 
 
-def _rk4(va, vc, h, sigma, dt, upwind):
-    # diffusion excluded here; for sigma=1 it is applied in the Strang halves
-    k1a, k1c = _rhs(va, vc, h, sigma, upwind, diffusion=False)
-    k2a, k2c = _rhs(va + 0.5 * dt * k1a, vc + 0.5 * dt * k1c, h, sigma, upwind, diffusion=False)
-    k3a, k3c = _rhs(va + 0.5 * dt * k2a, vc + 0.5 * dt * k2c, h, sigma, upwind, diffusion=False)
-    k4a, k4c = _rhs(va + dt * k3a, vc + dt * k3c, h, sigma, upwind, diffusion=False)
-    na = va + (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-    nc = vc + (dt / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-    return na, nc
+def _rk4(u, h, sigma, dt, upwind, P1):
+    # diffusion excluded here; for sigma=1 it is applied in the Strang halves.
+    # P1 is the stage-1 antiderivative, already computed for the step size.
+    k1 = _rhs(u, h, sigma, upwind, diffusion=False, P=P1)
+    k2 = _rhs(u + 0.5 * dt * k1, h, sigma, upwind, diffusion=False)
+    k3 = _rhs(u + 0.5 * dt * k2, h, sigma, upwind, diffusion=False)
+    k4 = _rhs(u + dt * k3, h, sigma, upwind, diffusion=False)
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def stable_dt(state: TraceState, cfg: SolverConfig) -> float:
-    """Advective/reactive step size: dt_safety * min(h / max|D^-1 a|, 1 / max|a|)."""
-    va = state.a.values
-    h = state.grid.h
-    amax = float(np.max(np.abs(va)))
-    Amax = float(np.max(np.abs(cumulative(va, h))))
+def stable_dt(state: TraceState, cfg: SolverConfig, A: np.ndarray) -> float:
+    """Advective/reactive step size: dt_safety * min(h / max|D^-1 a|, 1 / max|a|).
+
+    A is D^-1 a, ``cumulative(state.a.values, h)``, which the step's first
+    RK stage needs as well."""
+    amax = state.max_a
+    Amax = float(np.max(np.abs(A)))
     dt = cfg.dt_max
     if Amax > 0.0:
-        dt = min(dt, h / Amax)
+        dt = min(dt, state.grid.h / Amax)
     if amax > 0.0:
         dt = min(dt, 1.0 / amax)
     return cfg.dt_safety * dt
@@ -176,27 +190,27 @@ def step(state: TraceState, cfg: SolverConfig, dt_cap: float | None = None) -> S
     the blow-up cap, no step is taken and the blow-up flag is set.
     """
     cap = cfg.blowup_cap if cfg.blowup_cap is not None else math.inf
-    if state.a.max_abs() >= cap:
+    if state.max_a >= cap:
         return StepResult(state, 0.0, True)
 
-    dt = stable_dt(state, cfg)
+    h = state.grid.h
+    u = np.stack((state.a.values, state.c.values))
+    P = cumulative(u, h)
+    dt = stable_dt(state, cfg, P[0])
     if dt_cap is not None:
         dt = min(dt, dt_cap)
     if dt < cfg.dt_floor:
         raise TimeStepUnderflow(f"dt={dt:g} below floor {cfg.dt_floor:g} at t={state.t:g}")
 
-    h = state.grid.h
-    va = state.a.values.copy()
-    vc = state.c.values.copy()
     if state.sigma == 1:
-        vc = _cn_half(vc, h, 0.5 * dt)
-    na, nc = _rk4(va, vc, h, state.sigma, dt, cfg.upwind)
+        u[1] = _cn_half(u[1], h, 0.5 * dt)
+        P[1] = cumulative(u[1], h)
+    na, nc = _rk4(u, h, state.sigma, dt, cfg.upwind, P)
     if state.sigma == 1:
         nc = _cn_half(nc, h, 0.5 * dt)
 
-    mean_before = definite(state.a.values, h)
     mean_after = definite(na, h)
-    drift_rate = (mean_after - mean_before) / dt
+    drift_rate = (mean_after - state.mean_a) / dt
 
     na -= mean_after  # length of [0,1] is 1, so the integral is the mean
     if state.sigma == 1:
@@ -227,6 +241,7 @@ class Trajectory:
     probes: np.ndarray             # samples of a at the probe heights
     reason: str                    # blowup | t_max | dt_underflow | max_steps
     states: list[TraceState] = field(default_factory=list)
+    final_state: TraceState | None = None
 
     def __post_init__(self):
         if len(self.t) > 1 and not np.all(np.diff(self.t) > 0):
@@ -278,9 +293,9 @@ def _run(state0: TraceState, cfg: SolverConfig, t_end):
 
     def record(st: TraceState, dt_used: float, drift: float):
         rows["t"].append(st.t)
-        rows["max_a"].append(st.a.max_abs())
+        rows["max_a"].append(st.max_a)
         rows["max_c"].append(st.c.max_abs())
-        rows["mean_a"].append(definite(st.a.values, h))
+        rows["mean_a"].append(st.mean_a)
         rows["dt"].append(dt_used)
         rows["a0"].append(st.a.values[0])
         rows["aZ0"].append(d1_at_lo(st.a.values, h))
@@ -317,7 +332,7 @@ def _run(state0: TraceState, cfg: SolverConfig, t_end):
         reason = "t_max"
 
     probes = np.array(rows["probes"]) if rows["probes"] else np.empty((0, len(idx)))
-    traj = Trajectory(
+    return Trajectory(
         t=np.array(rows["t"]),
         max_a=np.array(rows["max_a"]),
         max_c=np.array(rows["max_c"]),
@@ -330,6 +345,5 @@ def _run(state0: TraceState, cfg: SolverConfig, t_end):
         probes=probes,
         reason=reason,
         states=states,
+        final_state=state,
     )
-    traj.final_state = state
-    return traj

@@ -5,9 +5,9 @@ Criterion 6 asserts the documented pointwise-exponent targets at
 Z in {0, 0.25, 0.5}.  At desk scale the remainder of the velocity field
 carries a 1/|log(T-t)| amplitude at every interior height, which
 overwhelms (T-t)^Z for Z >= 0.25 at any reachable depth; the Z > 0
-sub-assertions therefore fail and are expected to fail (see
-notes/decisions.md for the quantitative argument).  They are asserted as
-stated rather than weakened.
+sub-assertions therefore fail and are expected to fail (see the
+criterion-6 note in README.md, "Install and test", for the quantitative
+argument).  They are asserted as stated rather than weakened.
 """
 import json
 import math

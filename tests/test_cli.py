@@ -77,6 +77,21 @@ class TestModes:
         assert abs(fit["rate_a"] - (-1.0)) <= 0.1
         assert (out / "rates.csv").exists()
 
+    def test_fit_json_is_strict(self, tmp_path):
+        # non-finite results (nu_slope after a CSV reload, which does not
+        # carry a_Z(t, 0)) must come out as null, never as a bare NaN
+        out = tmp_path / "strict"
+        assert run_cli("simulate", "--out", str(out), "--quiet",
+                       "--set", "init.lambda0=1e-2", "--set", "init.n=513",
+                       "--set", "solver.n=513", "--set", "solver.blowup_cap=1e5") == 0
+        assert run_cli("fit", "--out", str(out), "--quiet") == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        fit = json.loads((out / "fit.json").read_text(), parse_constant=reject)
+        assert math.isfinite(fit["rate_a"])
+
     def test_energies_mode(self, tmp_path):
         out = tmp_path / "e"
         code = run_cli("energies", "--out", str(out), "--quiet",
