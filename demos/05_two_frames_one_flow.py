@@ -37,5 +37,5 @@ for sk in checkpoints:
     ar, _ = reconstruct(sk)
     rel = np.max(np.abs(ar.values - ph.a.values)) / np.max(np.abs(ph.a.values))
     print(f"{sk.t:12.6g} {sk.s:7.3f} {np.max(np.abs(ph.a.values)):10.4g} {rel:13.3e}")
-print("\nboth frames agree to a fraction of the discretization error "
-      "while the amplitude grows tenfold.")
+print("\nthe rescaled nodes are the physical ones, so both frames sample the same "
+      "points and differ only by their time steppers while the amplitude grows tenfold.")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import initial_data, selfsim
 from .diagnostics import check_initial_closeness, energy_report
-from .errors import FitDegenerate, PetraceError, TimeStepUnderflow
+from .errors import FitDegenerate, PetraceError, ScaleFitFailure, TimeStepUnderflow
 from .fitting import estimate_T, fit_rates
 from .params import FrameworkParams, alpha0, validate_params
 from .trace import SolverConfig, Trajectory, run_to_blowup
@@ -362,7 +362,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TimeStepUnderflow, FitDegenerate) as exc:
+    except (TimeStepUnderflow, FitDegenerate, ScaleFitFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (PetraceError, ValueError) as exc:

@@ -35,3 +35,15 @@ class OutOfRange(PetraceError):
 
 class InfeasibleBalance(PetraceError):
     """Mean-zero balancing would no longer be subordinate to the profile."""
+
+
+class ScaleFitFailure(PetraceError):
+    """The secant fit of the spatial scale nu left a discrete z=0 slope above
+    the vanishing tolerance; ``residual`` is the best slope reached, at
+    ``nu``."""
+
+    def __init__(self, residual: float, nu: float):
+        super().__init__(f"spatial-scale fit did not converge: best z=0 slope "
+                         f"{residual:.3g} at nu={nu:.6g}")
+        self.residual = residual
+        self.nu = nu

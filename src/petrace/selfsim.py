@@ -11,6 +11,13 @@ which turns them into ODEs coupled to the perturbation fields; the sum of
 their logarithmic rates is exactly -1.  The perturbation lives on the
 moving domain [0, 1/nu] and carries the zero-average constraint
 int (phi + atil) dz = 0.
+
+The solver keeps the fields on the fixed lattice xi_j = nu z_j = j/(n-1),
+the physical Z nodes on [0, 1]; at scale nu the nodes are z = xi/nu, those
+of Grid(0, 1/nu, n).  Evolving at fixed xi takes the domain stretch out of
+the transport, and every map between the frames or between successive
+scales (decompose, reconstruct, the re-pinning after each step) sends node
+to node, so none of them interpolates.
 """
 from __future__ import annotations
 
@@ -18,11 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from .errors import DegenerateTrace, TimeStepUnderflow
+from .errors import DegenerateTrace, ScaleFitFailure, TimeStepUnderflow
 from .grid import Field, Grid, cumulative, d1, d1_at_lo, d2, definite
 
 __all__ = [
@@ -67,6 +73,10 @@ def s_from_lambda(lam: float) -> float:
     return float(brentq(lambda s: s * math.exp(-s) - lam, 1.0, 800.0, xtol=1e-14, rtol=1e-15))
 
 
+def _on_domain(g: Grid, hi: float) -> bool:
+    return abs(g.lo) <= 1e-12 and abs(g.hi - hi) <= 1e-9 * g.hi
+
+
 @dataclass(frozen=True)
 class SelfSimilarState:
     """Rescaled state on z in [0, 1/nu] at self-similar time s.
@@ -91,7 +101,7 @@ class SelfSimilarState:
         g = self.atil.grid
         if g != self.ctil.grid:
             raise ValueError("atil and ctil must share a grid")
-        if abs(g.lo) > 1e-12 or abs(g.hi - 1.0 / self.nu) > 1e-9 * g.hi:
+        if not _on_domain(g, 1.0 / self.nu):
             raise ValueError("self-similar domain must be [0, 1/nu]")
         va = self.atil.values
         if abs(va[0]) > _ORTH_TOL_VALUE:
@@ -126,85 +136,86 @@ class ModulationRates:
 
 
 # ---------------------------------------------------------------------------
-# rates and right-hand sides (raw arrays; Field wrappers below)
+# rates and right-hand sides on the stacked (atil, ctil) rows
 # ---------------------------------------------------------------------------
 
-def _rates(va, vc, z, h, lam, nu, sigma):
+def _stacked(st: SelfSimilarState) -> np.ndarray:
+    return np.stack((st.atil.values, st.ctil.values))
+
+
+def _scale_rates(y, z, h, lam, nu, sigma):
+    """Profile samples, the antiderivatives of both rows, the integrals
+    I2 = int (phi + atil)^2 and Cint = int D^-1 ctil, and the log-rates of
+    (lam, nu)."""
     ph = np.exp(-z)
-    I2 = definite((ph + va) ** 2, h)
-    Cint = definite(cumulative(vc, h), h)
+    P = cumulative(y, h)
+    I2 = definite((ph + y[0]) ** 2, h)
+    Cint = definite(P[1], h)
     q = lam if sigma == 0 else 1.0
     dlam = -1.0 + 2.0 * nu * I2 - q * nu * nu * Cint
-    return dlam, -1.0 - dlam, I2, Cint, q
+    return ph, P, q, dlam, -1.0 - dlam
 
 
-def _field_rhs(va, vc, z, h, lam, nu, sigma, diffusion=True):
-    ph = np.exp(-z)
-    Pphi = -np.expm1(-z)
-    Pa = cumulative(va, h)
-    Pc = cumulative(vc, h)
-    I2 = definite((ph + va) ** 2, h)
-    Cint = definite(Pc, h)
-    q = lam if sigma == 0 else 1.0
-    dlam = -1.0 + 2.0 * nu * I2 - q * nu * nu * Cint
-    dnu = -1.0 - dlam
+def _field_rhs(y, z, h, lam, nu, sigma, fixed_z=False):
+    """Time derivative of the stacked (atil, ctil), and the log-rates.
 
-    az = d1(va, h)
-    cz = d1(vc, h)
-    transport = dnu * z - Pphi - Pa
-
-    da = (
-        dlam * va
-        + transport * az
-        + 2.0 * ph * va
-        + Pa * ph
-        + va * va
-        + (dlam + 1.0) * ph
-        - dnu * z * ph
-        - 2.0 * nu * I2
-        - q * nu * Pc
-        + q * nu * nu * Cint
-    )
-    lam_coef = 2.0 * dlam if sigma == 1 else dlam
-    dc = lam_coef * vc + transport * cz + 2.0 * (va + ph) * vc
+    By default: at fixed xi = nu z and without the sigma=1 diffusion, as
+    the stepper integrates it (it applies the diffusion by Crank-Nicolson).
+    The transport speed there, -D^-1(phi + atil), vanishes at both ends of
+    the domain (at z = 1/nu by the zero-average constraint), so no boundary
+    condition is needed.  ``fixed_z`` gives the full derivative at fixed z:
+    domain-stretch transport dnu z d/dz and diffusion included.
+    """
+    ph, P, q, dlam, dnu = _scale_rates(y, z, h, lam, nu, sigma)
+    transport = np.expm1(-z) - P[0]
+    if fixed_z:
+        transport += dnu * z
+    rhs = transport * d1(y, h)
+    va, vc = y
+    # the constant source 2 nu I2 - q nu^2 Cint is dlam + 1
+    rhs[0] += (va * (dlam + 2.0 * ph + va) + ph * (P[0] - dnu * z)
+               + (dlam + 1.0) * (ph - 1.0) - q * nu * P[1])
+    rhs[1] += vc * ((2.0 * dlam if sigma == 1 else dlam) + 2.0 * (va + ph))
     if sigma == 1:
-        if diffusion:
-            dc = dc + (lam / (nu * nu)) * d2(vc, h)
-        dc[0] = 0.0
-        dc[-1] = 0.0
-    return da, dc, dlam, dnu
+        if fixed_z:
+            rhs[1] += (lam / (nu * nu)) * d2(vc, h)
+        rhs[1, 0] = rhs[1, -1] = 0.0
+    return rhs, dlam, dnu
 
 
 def modulation_rates(st: SelfSimilarState) -> ModulationRates:
     """Log-rates of (lam, nu); their sum is -1 by construction."""
     g = st.grid
-    dlam, dnu, _, _, _ = _rates(st.atil.values, st.ctil.values, g.nodes, g.h,
-                                st.lam, st.nu, st.sigma)
+    *_, dlam, dnu = _scale_rates(_stacked(st), g.nodes, g.h, st.lam, st.nu, st.sigma)
     return ModulationRates(dlam, dnu)
 
 
 def perturbation_rhs(st: SelfSimilarState, rates: ModulationRates) -> tuple[Field, Field]:
-    """Time derivative (atil_s, ctil_s) of the perturbation fields.
+    """Time derivative (atil_s, ctil_s) of the perturbation fields at fixed z.
 
     ``rates`` must be the modulation rates of the same state; the nonlocal
     source then cancels the perturbation and its slope at z = 0 to
     round-off.
     """
     g = st.grid
-    da, dc, dlam, _ = _field_rhs(st.atil.values, st.ctil.values, g.nodes, g.h,
-                                 st.lam, st.nu, st.sigma)
+    rhs, dlam, _ = _field_rhs(_stacked(st), g.nodes, g.h, st.lam, st.nu, st.sigma,
+                              fixed_z=True)
     if abs(dlam - rates.dlog_lambda) > 1e-12 * max(1.0, abs(dlam)):
         raise ValueError("rates inconsistent with the state")
-    return Field(g, da), Field(g, dc)
+    return Field(g, rhs[0]), Field(g, rhs[1])
 
 
 # ---------------------------------------------------------------------------
-# decomposition and reconstruction
+# pinning the scales: decomposition, reconstruction, re-orthogonalization
 # ---------------------------------------------------------------------------
 
 def _secant_nu(G, nu_guess: float) -> float:
     """Secant iteration for the spatial scale: drive the discrete slope of
-    the regridded perturbation at z = 0 to zero."""
+    the re-pinned perturbation at z = 0 to zero.
+
+    Raises ScaleFitFailure when the best residual misses the vanishing-slope
+    tolerance a state is validated against.
+    """
     x0, x1 = nu_guess, nu_guess * (1.0 + 1e-6)
     f0, f1 = G(x0), G(x1)
     best_x, best_f = (x0, f0) if abs(f0) < abs(f1) else (x1, f1)
@@ -219,6 +230,8 @@ def _secant_nu(G, nu_guess: float) -> float:
             best_x, best_f = x1, f1
         if abs(f1) <= 1e-13 or abs(x1 - x0) <= 1e-16 * x1:
             break
+    if not abs(best_f) <= _ORTH_TOL_SLOPE:
+        raise ScaleFitFailure(best_f, best_x)
     return best_x
 
 
@@ -240,61 +253,101 @@ def _project_zero_average(atil_vals, z, h):
     return atil_vals - (defect / definite(ps, h)) * ps
 
 
+def _pin(u, nu_guess):
+    """Perturbation about the profile of the lam-scaled amplitude u (samples
+    on the lattice xi), at the spatial scale whose nodes xi/nu make its
+    discrete slope at z = 0 vanish.  Returns (atil, nu, grid)."""
+    n = u.shape[0]
+    head = u[:5]
+    k = np.arange(5.0)
+
+    def G(nu_bar):
+        hz = (1.0 / nu_bar) / (n - 1)
+        return d1_at_lo(head - np.exp(-hz * k), hz)
+
+    nu = _secant_nu(G, nu_guess)
+    g = Grid(0.0, 1.0 / nu, n)
+    z = g.nodes
+    atil = u - np.exp(-z)
+    atil[0] = 0.0
+    return _project_zero_average(atil, z, g.h), nu, g
+
+
 def decompose(a: Field, c: Field, sigma: int, s0: float) -> SelfSimilarState:
     """Split physical trace fields into profile, perturbation and scales.
 
     lam = 1/a(0) and nu is fixed (up to a one-dimensional refinement against
     the discrete slope stencil) by a_Z(0) = -1/(lam nu), so that the
-    perturbation and its slope vanish at z = 0.  The zero-average defect is
-    projected out along the tail bump.
+    perturbation and its slope vanish at z = 0.  The physical nodes on
+    [0, 1] are the lattice xi, so atil and ctil are the scaled physical
+    samples node for node.  The zero-average defect is projected out along
+    the tail bump.
     """
+    g = a.grid
+    if c.grid != g or not _on_domain(g, 1.0):
+        raise ValueError("decompose needs a and c on one grid on [0, 1]")
     va = a.values
-    n = a.grid.n
-    h = a.grid.h
     a0 = float(va[0])
-    d0 = d1_at_lo(va, h)
+    d0 = d1_at_lo(va, g.h)
     if a0 <= 0.0 or d0 >= 0.0:
         raise DegenerateTrace(f"a(0)={a0:g}, a_Z(0)={d0:g}: profile matching impossible")
     lam = 1.0 / a0
-    nu_guess = -1.0 / (lam * d0)
-
-    spl_a = CubicSpline(a.grid.nodes, va)
-    hi = a.grid.hi
-
-    def G(nu_bar):
-        hz = (1.0 / nu_bar) / (n - 1)
-        z5 = hz * np.arange(5.0)
-        x = np.minimum(nu_bar * z5, hi)
-        vals = lam * spl_a(x) - np.exp(-z5)
-        return d1_at_lo(vals, hz)
-
-    nu = _secant_nu(G, nu_guess)
-
-    g = Grid(0.0, 1.0 / nu, n)
-    zn = g.nodes
-    x = np.minimum(nu * zn, hi)
-    atil = lam * spl_a(x) - np.exp(-zn)
-    atil[0] = 0.0
-    atil = _project_zero_average(atil, zn, g.h)
-
-    spl_c = CubicSpline(c.grid.nodes, c.values)
-    ctil = lam ** (1 + sigma) * spl_c(x)
+    atil, nu, gz = _pin(lam * va, -1.0 / (lam * d0))
+    ctil = lam ** (1 + sigma) * c.values
     if sigma == 1:
         ctil[-1] = 0.0
-
-    return SelfSimilarState(Field(g, atil), Field(g, ctil), lam, nu, s0, sigma)
+    return SelfSimilarState(Field(gz, atil), Field(gz, ctil), lam, nu, s0, sigma)
 
 
 def reconstruct(st: SelfSimilarState) -> tuple[Field, Field]:
-    """Physical trace fields (a, c) on [0, 1] from a rescaled state."""
-    n = st.grid.n
-    g = Grid(0.0, 1.0, n)
-    arg = np.minimum(g.nodes / st.nu, st.grid.hi)
-    spl_a = CubicSpline(st.grid.nodes, st.atil.values)
-    spl_c = CubicSpline(st.grid.nodes, st.ctil.values)
-    a = (np.exp(-arg) + spl_a(arg)) / st.lam
-    c = spl_c(arg) / st.lam ** (1 + st.sigma)
+    """Physical trace fields (a, c) on [0, 1] from a rescaled state, node
+    for node."""
+    a = (np.exp(-st.grid.nodes) + st.atil.values) / st.lam
+    c = st.ctil.values / st.lam ** (1 + st.sigma)
+    g = Grid(0.0, 1.0, st.grid.n)
     return Field(g, a), Field(g, c)
+
+
+def _reorthogonalize(va, vc, z, h, lam, nu, sigma):
+    """Re-pin the scales so the perturbation and its discrete slope vanish
+    at z = 0 exactly.  The fields sit on the nodes z = xi/nu; the new nodes
+    xi/nu_bar carry the same physical samples, so the map is nodal."""
+    one_plus = 1.0 + float(va[0])
+    if one_plus <= 0.0:
+        raise DegenerateTrace("perturbation reached -1 at the origin")
+    d0 = d1_at_lo(va, h)
+    if d0 >= 1.0:
+        raise DegenerateTrace("perturbation slope reached 1 at the origin")
+    ratio = 1.0 / one_plus
+    atil, nu_bar, g = _pin(ratio * (np.exp(-z) + va), nu * one_plus / (1.0 - d0))
+    ctil = ratio ** (1 + sigma) * vc
+    ctil[0] = 0.0
+    if sigma == 1:
+        ctil[-1] = 0.0
+    return atil, ctil, lam / one_plus, nu_bar, g
+
+
+def build_state(atil: Field, ctil: Field, lam: float, nu: float, s: float,
+                sigma: int, t: float = 0.0) -> SelfSimilarState:
+    """Construct a state from raw perturbation fields on [0, 1/nu].
+
+    Hand-built samples rarely satisfy the discrete z=0 vanishing conditions
+    to their tight tolerances, so the fields are routed through one
+    re-orthogonalization (which moves the mismatch into the scales) before
+    the validated state is assembled.
+    """
+    g = atil.grid
+    if ctil.grid != g or not _on_domain(g, 1.0 / nu):
+        raise ValueError("build_state needs atil and ctil on one grid on [0, 1/nu]")
+    atil2, ctil2, lam2, nu2, gnew = _reorthogonalize(
+        atil.values, ctil.values, g.nodes, g.h, lam, nu, sigma)
+    return SelfSimilarState(Field(gnew, atil2), Field(gnew, ctil2), lam2, nu2, s, sigma, t)
+
+
+def reorthogonalize(st: SelfSimilarState) -> SelfSimilarState:
+    """Re-pin the scales so the perturbation and its discrete slope vanish
+    at z = 0 exactly, moving to the grid of the re-pinned scale."""
+    return build_state(st.atil, st.ctil, st.lam, st.nu, st.s, st.sigma, st.t)
 
 
 # ---------------------------------------------------------------------------
@@ -318,123 +371,54 @@ def _cn_half(vc, h, tau, coeff):
     return solve_banded((1, 1), ab, rhs)
 
 
-def _reorthogonalize(va, vc, lam, nu, sigma, grid):
-    """Regrid to [0, 1/nu_bar] with the scales re-pinned so the perturbation
-    and its discrete slope vanish at z = 0 exactly."""
-    n = grid.n
-    one_plus = 1.0 + float(va[0])
-    if one_plus <= 0.0:
-        raise DegenerateTrace("perturbation reached -1 at the origin")
-    lam_bar = lam / one_plus
-    ratio = lam_bar / lam
-    d0 = d1_at_lo(va, grid.h)
-    if d0 >= 1.0:
-        raise DegenerateTrace("perturbation slope reached 1 at the origin")
-    nu_guess = nu * one_plus / (1.0 - d0)
-
-    spl_a = CubicSpline(grid.nodes, va)
-    old_hi = grid.hi
-
-    def G(nu_bar):
-        hz = (1.0 / nu_bar) / (n - 1)
-        z5 = hz * np.arange(5.0)
-        x = np.minimum((nu_bar / nu) * z5, old_hi)
-        vals = ratio * (np.exp(-x) + spl_a(x)) - np.exp(-z5)
-        return d1_at_lo(vals, hz)
-
-    nu_bar = _secant_nu(G, nu_guess)
-
-    gnew = Grid(0.0, 1.0 / nu_bar, n)
-    zn = gnew.nodes
-    r = nu_bar / nu
-    x = np.minimum(r * zn, old_hi)
-    atil = ratio * (np.exp(-x) + spl_a(x)) - np.exp(-zn)
-    atil[0] = 0.0
-    atil = _project_zero_average(atil, zn, gnew.h)
-
-    spl_c = CubicSpline(grid.nodes, vc)
-    ctil = ratio ** (1 + sigma) * spl_c(x)
-    ctil[0] = 0.0
-    if sigma == 1:
-        ctil[-1] = 0.0
-    return atil, ctil, lam_bar, nu_bar, gnew
-
-
-def reorthogonalize(st: SelfSimilarState) -> SelfSimilarState:
-    """Re-pin the scales so the perturbation and its discrete slope vanish
-    at z = 0 exactly, regridding to the updated domain."""
-    atil, ctil, lam, nu, gnew = _reorthogonalize(
-        st.atil.values, st.ctil.values, st.lam, st.nu, st.sigma, st.grid
-    )
-    return SelfSimilarState(Field(gnew, atil), Field(gnew, ctil),
-                            lam, nu, st.s, st.sigma, st.t)
-
-
-def build_state(atil: Field, ctil: Field, lam: float, nu: float, s: float,
-                sigma: int, t: float = 0.0) -> SelfSimilarState:
-    """Construct a state from raw perturbation fields.
-
-    Hand-built samples rarely satisfy the discrete z=0 vanishing conditions
-    to their tight tolerances, so the fields are routed through one
-    re-orthogonalization (which moves the mismatch into the scales) before
-    the validated state is assembled.
-    """
-    atil2, ctil2, lam2, nu2, gnew = _reorthogonalize(
-        atil.values, ctil.values, lam, nu, sigma, atil.grid
-    )
-    return SelfSimilarState(Field(gnew, atil2), Field(gnew, ctil2), lam2, nu2, s, sigma, t)
-
-
 def step_selfsim(st: SelfSimilarState, ds: float) -> SelfSimilarState:
-    """One RK4 step of (atil, ctil, log lam, log nu) over ds.
+    """One RK4 step of (atil, ctil, log lam, log nu) over ds at fixed xi = nu z.
 
-    For sigma=1 the diffusion term is applied as two Crank-Nicolson half
-    steps around the advection/reaction update (Strang).  Afterwards the
-    state is re-orthogonalized (restoring the z=0 vanishing conditions
-    exactly and moving any drift into the scales) and regridded to the new
-    domain [0, 1/nu].
+    Each stage evaluates the right-hand side on the nodes z = xi/nu of its
+    own nu, so the domain stretch belongs to the frame and the transport
+    keeps only -D^-1(phi + atil).  For sigma=1 the diffusion is applied as
+    two Crank-Nicolson half steps around the advection/reaction update
+    (Strang), on the grid of the scale before and after the step.
+    Afterwards the state is re-orthogonalized: the scales are re-pinned so
+    the perturbation and its discrete slope vanish at z = 0 exactly, and
+    the nodes xi/nu of the re-pinned nu take the old samples node for node.
     """
     if ds < 0.0:
         raise ValueError("ds must be non-negative")
     if ds == 0.0:
         return st
-    g = st.grid
-    z, h = g.nodes, g.h
-    va = st.atil.values.copy()
-    vc = st.ctil.values.copy()
-    lam, nu, sigma = st.lam, st.nu, st.sigma
+    n, sigma = st.grid.n, st.sigma
+    xi = np.linspace(0.0, 1.0, n)
+    lam, nu = st.lam, st.nu
+    y = _stacked(st)
 
     if sigma == 1:
-        vc = _cn_half(vc, h, 0.5 * ds, lam / (nu * nu))
+        y[1] = _cn_half(y[1], (1.0 / nu) / (n - 1), 0.5 * ds, lam / (nu * nu))
 
-    def f(ya, yc, loglam, lognu):
+    def f(y, loglam, lognu):
         la, nn = math.exp(loglam), math.exp(lognu)
-        da, dc, dlam, dnu = _field_rhs(ya, yc, z, h, la, nn, sigma, diffusion=False)
-        return da, dc, dlam, dnu, la
+        rhs, dlam, dnu = _field_rhs(y, xi / nn, (1.0 / nn) / (n - 1), la, nn, sigma)
+        return rhs, dlam, dnu, la
 
-    loglam, lognu, t = math.log(lam), math.log(nu), st.t
-    k1 = f(va, vc, loglam, lognu)
-    k2 = f(va + 0.5 * ds * k1[0], vc + 0.5 * ds * k1[1],
-           loglam + 0.5 * ds * k1[2], lognu + 0.5 * ds * k1[3])
-    k3 = f(va + 0.5 * ds * k2[0], vc + 0.5 * ds * k2[1],
-           loglam + 0.5 * ds * k2[2], lognu + 0.5 * ds * k2[3])
-    k4 = f(va + ds * k3[0], vc + ds * k3[1],
-           loglam + ds * k3[2], lognu + ds * k3[3])
+    loglam, lognu = math.log(lam), math.log(nu)
+    k1 = f(y, loglam, lognu)
+    k2 = f(y + 0.5 * ds * k1[0], loglam + 0.5 * ds * k1[1], lognu + 0.5 * ds * k1[2])
+    k3 = f(y + 0.5 * ds * k2[0], loglam + 0.5 * ds * k2[1], lognu + 0.5 * ds * k2[2])
+    k4 = f(y + ds * k3[0], loglam + ds * k3[1], lognu + ds * k3[2])
 
     c6 = ds / 6.0
-    va = va + c6 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    vc = vc + c6 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    loglam += c6 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    lognu += c6 * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-    t += c6 * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4])
+    y = y + c6 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+    loglam += c6 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    lognu += c6 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+    t = st.t + c6 * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
     lam, nu = math.exp(loglam), math.exp(lognu)
+    h = (1.0 / nu) / (n - 1)
 
     if sigma == 1:
-        vc = _cn_half(vc, h, 0.5 * ds, lam / (nu * nu))
+        y[1] = _cn_half(y[1], h, 0.5 * ds, lam / (nu * nu))
 
-    atil, ctil, lam, nu, gnew = _reorthogonalize(va, vc, lam, nu, sigma, g)
-    return SelfSimilarState(Field(gnew, atil), Field(gnew, ctil),
-                            lam, nu, st.s + ds, sigma, t)
+    atil, ctil, lam, nu, g = _reorthogonalize(y[0], y[1], xi / nu, h, lam, nu, sigma)
+    return SelfSimilarState(Field(g, atil), Field(g, ctil), lam, nu, st.s + ds, sigma, t)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +450,7 @@ class SelfsimTrajectory:
     trapped: np.ndarray
     ctil_edge: np.ndarray | None = None   # ctil at z = 1/nu (free for sigma=0)
     final_state: SelfSimilarState | None = None
+    reason: str = "s_end"   # "s_end", or "max_steps" when the step budget ran out first
 
     def to_csv(self, path):
         cols = np.column_stack([self.s, self.lam, self.nu, self.max_atil,
@@ -481,18 +466,21 @@ class SelfsimTrajectory:
 
 
 def stable_ds(st: SelfSimilarState, ds_safety: float = 0.25) -> float:
-    """CFL-style step: the transport speed (including the domain stretch
-    term, which dominates at the right edge) against the grid spacing."""
+    """CFL-style step: the transport speed at fixed z (including the domain
+    stretch term, which dominates at the right edge) against the grid
+    spacing.  The stepper transports at fixed xi, where the stretch term is
+    absent, so this bound is conservative there."""
     g = st.grid
-    rates = modulation_rates(st)
-    speed = rates.dlog_nu * g.nodes - (-np.expm1(-g.nodes)) - cumulative(st.atil.values, g.h)
+    _, P, _, _, dnu = _scale_rates(_stacked(st), g.nodes, g.h, st.lam, st.nu, st.sigma)
+    speed = dnu * g.nodes + np.expm1(-g.nodes) - P[0]
     wmax = float(np.max(np.abs(speed)))
     return ds_safety * g.h / max(1.0, wmax)
 
 
 def run_selfsim(st0: SelfSimilarState, cfg: SelfsimConfig) -> SelfsimTrajectory:
     """March to s_end, sampling scales, sup norms and (optionally) the
-    weighted energies and the trapped verdict along the way."""
+    weighted energies and the trapped verdict along the way.  The result's
+    ``reason`` says whether s_end was reached or max_steps ran out."""
     from . import diagnostics  # local import to avoid a module cycle
 
     rows = []
@@ -515,10 +503,16 @@ def run_selfsim(st0: SelfSimilarState, cfg: SelfsimConfig) -> SelfsimTrajectory:
     st = st0
     record(st)
     k = 0
-    while st.s < cfg.s_end and k < cfg.max_steps:
+    reason = "s_end"
+    while st.s < cfg.s_end:
         remaining = cfg.s_end - st.s
         if remaining < max(cfg.ds_floor, 1e-14 * cfg.s_end):
             break  # within round-off of the landing time
+        if k >= cfg.max_steps:
+            reason = "max_steps"
+            if k % cfg.stride:
+                record(st)  # the trajectory ends where the run stopped
+            break
         ds = min(stable_ds(st, cfg.ds_safety), remaining)
         if ds < cfg.ds_floor:
             raise TimeStepUnderflow(f"ds={ds:g} below floor at s={st.s:g}")
@@ -532,5 +526,5 @@ def run_selfsim(st0: SelfSimilarState, cfg: SelfsimConfig) -> SelfsimTrajectory:
         s=arr[:, 0], lam=arr[:, 1], nu=arr[:, 2], max_atil=arr[:, 3],
         max_ctil=arr[:, 4], t=arr[:, 5], Ia2=arr[:, 6], Ea2=arr[:, 7],
         Ic2_or_T=arr[:, 8], Ec2=arr[:, 9], trapped=arr[:, 10],
-        ctil_edge=arr[:, 11], final_state=st,
+        ctil_edge=arr[:, 11], final_state=st, reason=reason,
     )

@@ -112,6 +112,18 @@ class TestModes:
         assert lines[0] == "s,lambda,nu,max_atil,max_ctil,I_a2,E_a2,I_c2_or_T,trapped"
         assert len(lines) > 3
 
+    def test_scale_fit_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        # the secant runs as usual, on a residual that has no root
+        from petrace import selfsim
+
+        secant = selfsim._secant_nu
+        monkeypatch.setattr(selfsim, "_secant_nu",
+                            lambda G, nu_guess: secant(lambda nu: 1.0 + nu * nu, nu_guess))
+        code = run_cli("selfsim", "--out", str(tmp_path / "ss"), "--quiet",
+                       "--set", "init.n=129", "--set", "selfsim.s_end=12.2")
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_sweep_mode(self, tmp_path):
         out = tmp_path / "sw"
         code = run_cli("sweep", "--out", str(out), "--quiet",

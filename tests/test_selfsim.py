@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from petrace.errors import DegenerateTrace
+from petrace.errors import DegenerateTrace, ScaleFitFailure
 from petrace.grid import Field, Grid, antiderivative, cumulative, d1_at_lo, definite, resample
 from petrace.selfsim import (
+    _secant_nu,
     ModulationRates,
     SelfsimConfig,
     SelfSimilarState,
+    build_state,
     decompose,
     modulation_rates,
     perturbation_rhs,
@@ -67,6 +69,38 @@ class TestDecompose:
         falling_neg = Field(g, -1.0 - g.nodes**2)
         with pytest.raises(DegenerateTrace):
             decompose(falling_neg, zero, 0, s0=1.0)
+
+    def test_rejects_fields_off_the_unit_grid(self):
+        g = Grid(0.0, 1.0, 129)
+        a = Field(g, np.exp(-g.nodes / 0.1))
+        zero = Field(g, np.zeros(g.n))
+        wide = Grid(0.0, 2.0, 129)
+        with pytest.raises(ValueError):
+            decompose(Field(wide, a.values), Field(wide, zero.values), 0, s0=1.0)
+        with pytest.raises(ValueError):
+            decompose(a, Field(Grid(0.0, 1.0, 257), np.zeros(257)), 0, s0=1.0)
+
+
+class TestScaleFit:
+    def test_secant_without_root_raises_with_residual(self):
+        with pytest.raises(ScaleFitFailure) as info:
+            _secant_nu(lambda nu: 1.0 + nu * nu, 0.1)
+        assert info.value.residual >= 1.0
+
+    def test_secant_converges_on_a_root(self):
+        assert abs(_secant_nu(lambda nu: nu - 0.25, 0.1) - 0.25) <= 1e-15
+
+
+class TestBuildState:
+    def test_rejects_fields_off_the_rescaled_domain(self):
+        nu = 0.1
+        zero = np.zeros(129)
+        off = Grid(0.0, 2.0 / nu, 129)
+        with pytest.raises(ValueError):
+            build_state(Field(off, zero), Field(off, zero), 0.01, nu, 5.0, 0)
+        on = Grid(0.0, 1.0 / nu, 129)
+        with pytest.raises(ValueError):
+            build_state(Field(on, zero), Field(off, zero), 0.01, nu, 5.0, 0)
 
 
 class TestReconstruct:
@@ -275,6 +309,21 @@ class TestRun:
         assert abs(traj.s[-1] - 12.3) <= 1e-12
         assert np.all(np.diff(traj.s) > 0)
         assert np.all(np.isfinite(traj.lam))
+
+    def test_stop_reason(self):
+        st = balanced_state(s0=12.0, c_amp=1e-4)
+        capped = run_selfsim(st, SelfsimConfig(s_end=13.0, max_steps=3))
+        assert capped.reason == "max_steps"
+        assert capped.final_state.s < 13.0
+        assert len(capped.s) == 4
+        # off the sampling stride, the stopping state is still the last sample
+        strided = run_selfsim(st, SelfsimConfig(s_end=13.0, stride=2, max_steps=3))
+        assert strided.reason == "max_steps"
+        assert strided.s[-1] == strided.final_state.s
+        assert len(strided.s) == 3
+        landed = run_selfsim(st, SelfsimConfig(s_end=12.05))
+        assert landed.reason == "s_end"
+        assert abs(landed.s[-1] - 12.05) <= 1e-12
 
     def test_t_accumulates_lambda(self):
         st = balanced_state(s0=12.0)
