@@ -9,12 +9,13 @@ failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import initial_data, selfsim
 from .diagnostics import check_initial_closeness, energy_report
@@ -259,21 +260,9 @@ def _mode_energies(cfg, outdir, quiet):
     return 0
 
 
-def _load_trajectory_csv(path: Path) -> Trajectory:
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    data = np.atleast_2d(data)
-    n = data.shape[0]
-    return Trajectory(
-        t=data[:, 0], max_a=data[:, 1], max_c=data[:, 2], mean_a=data[:, 3],
-        dt=data[:, 4], a0=data[:, 1], aZ0=np.full(n, math.nan),
-        drift_rate=np.zeros(n), probe_Z=(), probes=np.empty((n, 0)),
-        reason="blowup",
-    )
-
-
 def _mode_fit(cfg, outdir, quiet):
     src = cfg["fit.trajectory"] or str(outdir / "trajectory.csv")
-    traj = _load_trajectory_csv(Path(src))
+    traj = Trajectory.from_csv(src)
     T_hat = estimate_T(traj, cfg["fit.tail_fraction"])
     fit = fit_rates(traj, T_hat, cfg["fit.tail_fraction"])
     (outdir / "fit.json").write_text(_json(fit.to_json(), indent=2) + "\n")
@@ -295,7 +284,26 @@ def _mode_redecompose(cfg, outdir, quiet):
     return 0
 
 
+def _sweep_one(sub_mode, sub, subdir):
+    """One sweep sub-run, in a pool worker: its exit code and what it printed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = _DISPATCH[sub_mode](sub, subdir, True)
+    return code, out.getvalue()
+
+
 def _mode_sweep(cfg, outdir, quiet):
+    """Run one sub-run per swept value, each into its own ``sweep_NNN/``.
+
+    Every value is parsed and every ``resolved.config`` written before any
+    sub-run starts.  The sub-runs are independent and CPU-bound, so they
+    run in worker processes, one per usable CPU at most.  The workers are
+    forked: they inherit the imported package, where ``spawn`` and
+    ``forkserver`` workers import numpy, scipy and petrace again, which
+    made a two-value sweep slower.  What the sub-runs print is written in
+    value order, and the first failure in value order cancels the sub-runs
+    not yet started and is raised as the worker raised it.
+    """
     key = cfg["sweep.param"]
     if key not in REGISTRY:
         raise ConfigError(f"sweep.param {key!r} is not a known key")
@@ -306,16 +314,29 @@ def _mode_sweep(cfg, outdir, quiet):
     if sub_mode not in MODES or sub_mode == "sweep":
         raise ConfigError(f"sweep.mode {sub_mode!r} invalid")
 
-    def one(idx, raw):
-        sub = dict(cfg)
-        sub[key] = _parse_value(key, raw)
-        sub["mode"] = sub_mode
-        subdir = outdir / f"sweep_{idx:03d}"
+    subs = [{**cfg, key: _parse_value(key, raw), "mode": sub_mode} for raw in values]
+    subdirs = [outdir / f"sweep_{idx:03d}" for idx in range(len(subs))]
+    for sub, subdir in zip(subs, subdirs):
         subdir.mkdir(parents=True, exist_ok=True)
         write_resolved(sub, subdir)
-        return _DISPATCH[sub_mode](sub, subdir, True)
 
-    codes = [one(idx, raw) for idx, raw in enumerate(values)]
+    # imported here, not at the top: only a sweep needs the pool, and its
+    # modules add about 0.4 MB and 6 ms to every import of this module
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(min(len(subs), len(os.sched_getaffinity(0))),
+                               mp_context=multiprocessing.get_context("fork"))
+    codes = []
+    try:
+        futures = [pool.submit(_sweep_one, sub_mode, sub, subdir)
+                   for sub, subdir in zip(subs, subdirs)]
+        for fut in futures:
+            code, text = fut.result()
+            sys.stdout.write(text)
+            codes.append(code)
+    finally:
+        pool.shutdown(cancel_futures=True)
     _emit(f"sweep: {len(values)} runs over {key}", quiet)
     return max(codes)
 

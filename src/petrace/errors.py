@@ -47,3 +47,8 @@ class ScaleFitFailure(PetraceError):
                          f"{residual:.3g} at nu={nu:.6g}")
         self.residual = residual
         self.nu = nu
+
+    def __reduce__(self):
+        # rebuild from the attributes, so the error survives pickling (a
+        # sweep sub-run raises it in a worker process)
+        return type(self), (self.residual, self.nu)

@@ -14,15 +14,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import TimeStepUnderflow
+from .errors import FitDegenerate, TimeStepUnderflow
 from .grid import Field, Grid, cumulative, d1, d1_at_lo, d1_upwind, d2, definite
 
 __all__ = ["TraceState", "SolverConfig", "StepResult", "Trajectory",
            "trace_rhs", "step", "run_to_blowup", "run_to_time"]
+
+_CSV_HEADER = "t,max_a,max_c,mean_a,dt,a0,aZ0"
+_REASON_TAG = "# reason="
 
 _MEAN_TOL = 1e-8    # relative to max(1, max|a|); the compatibility condition
 _BC_TOL = 1e-10
@@ -258,11 +262,30 @@ class Trajectory:
         return -self.a0 / self.aZ0
 
     def to_csv(self, path):
-        cols = np.column_stack([self.t, self.max_a, self.max_c, self.mean_a, self.dt])
+        """One line per sample (t, max|a|, max|c|, mean of a, dt, a(t,0),
+        a_Z(t,0)) under a header, then a last line ``# reason=<stop reason>``."""
+        cols = np.column_stack([self.t, self.max_a, self.max_c, self.mean_a, self.dt,
+                                self.a0, self.aZ0])
         with open(path, "w") as fh:
-            fh.write("t,max_a,max_c,mean_a,dt\n")
+            fh.write(_CSV_HEADER + "\n")
             for row in cols:
                 fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+            fh.write(f"{_REASON_TAG}{self.reason}\n")
+
+    @classmethod
+    def from_csv(cls, path) -> Trajectory:
+        """Read back what ``to_csv`` wrote.  The drift rate and the probe
+        series are not stored: ``drift_rate`` is NaN and ``probe_Z`` empty.
+        A file without the header or the stop reason raises FitDegenerate."""
+        lines = Path(path).read_text().splitlines()
+        if len(lines) < 3 or lines[0] != _CSV_HEADER or not lines[-1].startswith(_REASON_TAG):
+            raise FitDegenerate(f"{path} is not a trajectory that records its stop reason")
+        data = np.loadtxt(lines[1:-1], delimiter=",", ndmin=2)
+        n = len(data)
+        return cls(t=data[:, 0], max_a=data[:, 1], max_c=data[:, 2], mean_a=data[:, 3],
+                   dt=data[:, 4], a0=data[:, 5], aZ0=data[:, 6],
+                   drift_rate=np.full(n, math.nan), probe_Z=(), probes=np.empty((n, 0)),
+                   reason=lines[-1][len(_REASON_TAG):])
 
 
 def _probe_indices(grid: Grid, probe_Z):

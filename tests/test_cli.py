@@ -1,11 +1,18 @@
 import json
 import math
+import pickle
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from petrace import cli, errors, initial_data
 from petrace.cli import load_config, main
+from petrace.fitting import estimate_T, fit_rates
 from petrace.params import alpha0
+from petrace.trace import run_to_blowup
 
 
 def run_cli(*argv):
@@ -70,7 +77,7 @@ class TestModes:
         csv = out / "trajectory.csv"
         assert csv.exists()
         header = csv.read_text().splitlines()[0]
-        assert header == "t,max_a,max_c,mean_a,dt"
+        assert header == "t,max_a,max_c,mean_a,dt,a0,aZ0"
         code = run_cli("fit", "--out", str(out), "--quiet")
         assert code == 0
         fit = json.loads((out / "fit.json").read_text())
@@ -78,8 +85,7 @@ class TestModes:
         assert (out / "rates.csv").exists()
 
     def test_fit_json_is_strict(self, tmp_path):
-        # non-finite results (nu_slope after a CSV reload, which does not
-        # carry a_Z(t, 0)) must come out as null, never as a bare NaN
+        # non-finite results must come out as null, never as a bare NaN
         out = tmp_path / "strict"
         assert run_cli("simulate", "--out", str(out), "--quiet",
                        "--set", "init.lambda0=1e-2", "--set", "init.n=513",
@@ -91,6 +97,44 @@ class TestModes:
 
         fit = json.loads((out / "fit.json").read_text(), parse_constant=reject)
         assert math.isfinite(fit["rate_a"])
+
+    def test_fit_refuses_run_stopped_by_t_max(self, tmp_path, capsys):
+        # max|a| grows only from 100 to about 110: no blow-up to fit
+        out = tmp_path / "tmax"
+        assert run_cli("simulate", "--out", str(out), "--quiet",
+                       "--set", "init.lambda0=1e-2", "--set", "init.n=513",
+                       "--set", "solver.n=513", "--set", "solver.t_max=1e-3") == 0
+        assert (out / "trajectory.csv").read_text().splitlines()[-1] == "# reason=t_max"
+        assert run_cli("fit", "--out", str(out), "--quiet") == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (out / "fit.json").exists()
+
+    def test_fit_after_reload_matches_in_memory(self, tmp_path):
+        out = tmp_path / "reload"
+        assert run_cli("simulate", "--out", str(out), "--quiet",
+                       "--set", "init.lambda0=1e-2", "--set", "init.n=513",
+                       "--set", "solver.n=513", "--set", "solver.blowup_cap=1e5") == 0
+        cfg = load_config(str(out / "resolved.config"), [])
+        assert run_cli("fit", "--out", str(out), "--quiet") == 0
+        reloaded = json.loads((out / "fit.json").read_text())
+
+        state = initial_data.build_profile_data(cli._spec_from(cfg), cfg["init.n"])
+        traj = run_to_blowup(state, cli._solver_from(cfg))
+        T_hat = estimate_T(traj)
+        fit = fit_rates(traj, T_hat)
+        assert math.isfinite(fit.nu_slope)
+        assert reloaded["nu_slope"] == fit.nu_slope
+        assert reloaded["T_hat"] == T_hat
+        assert reloaded["rate_a"] == fit.rate_a
+
+    def test_fit_needs_recorded_reason(self, tmp_path, capsys):
+        out = tmp_path / "old"
+        out.mkdir()
+        # the format before the stop reason was recorded
+        (out / "trajectory.csv").write_text(
+            "t,max_a,max_c,mean_a,dt\n0,100,0,0,0\n0.001,110,0,0,0.001\n")
+        assert run_cli("fit", "--out", str(out), "--quiet") == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_energies_mode(self, tmp_path):
         out = tmp_path / "e"
@@ -137,6 +181,114 @@ class TestModes:
             sub = out / f"sweep_{i:03d}"
             assert (sub / "trajectory.csv").exists()
             assert (sub / "resolved.config").exists()
+
+
+SWEEP_SIMULATE = ("--set", "sweep.mode=simulate", "--set", "init.n=513",
+                  "--set", "solver.n=513", "--set", "solver.blowup_cap=1e4")
+
+
+class TestSweep:
+    """The sweep runs its sub-runs in worker processes; its output must be
+    what running them one after another gives."""
+
+    def test_sub_runs_match_stand_alone_runs(self, tmp_path):
+        out = tmp_path / "sw"
+        assert run_cli("sweep", "--out", str(out), "--quiet",
+                       "--set", "sweep.param=init.lambda0",
+                       "--set", "sweep.values=1e-2,2e-2", *SWEEP_SIMULATE) == 0
+        for i in range(2):
+            sub = out / f"sweep_{i:03d}"
+            alone = tmp_path / f"alone_{i}"
+            assert run_cli("--config", str(sub / "resolved.config"),
+                           "--out", str(alone), "--quiet") == 0
+            assert (sub / "trajectory.csv").read_bytes() == (alone / "trajectory.csv").read_bytes()
+            assert (sub / "resolved.config").read_bytes() == (alone / "resolved.config").read_bytes()
+
+    def test_printed_lines_come_in_value_order(self, tmp_path, monkeypatch, capsys):
+        # the first value's sub-run finishes last
+        redecompose = initial_data.redecompose
+
+        def slow_first(lam, nu, atil0):
+            if atil0 == 0.0:
+                time.sleep(0.5)
+            return redecompose(lam, nu, atil0)
+
+        monkeypatch.setattr(initial_data, "redecompose", slow_first)
+        values = (0.0, 1.0, 2.0, 3.0)
+        assert run_cli("sweep", "--out", str(tmp_path / "re"), "--quiet",
+                       "--set", "sweep.mode=redecompose",
+                       "--set", "sweep.param=redecompose.atil0",
+                       "--set", "sweep.values=" + ",".join(map(str, values))) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(values)
+        for line, atil0 in zip(lines, values):
+            lam_bar, nu_bar = redecompose(0.01, 0.1, atil0)
+            assert json.loads(line) == {"lam_bar": lam_bar, "nu_bar": nu_bar}
+
+    def test_failing_sub_run_exits_3(self, tmp_path, monkeypatch, capsys):
+        # as in test_scale_fit_failure_exits_3: the secant has no root
+        from petrace import selfsim
+
+        secant = selfsim._secant_nu
+        monkeypatch.setattr(selfsim, "_secant_nu",
+                            lambda G, nu_guess: secant(lambda nu: 1.0 + nu * nu, nu_guess))
+        code = run_cli("sweep", "--out", str(tmp_path / "ss"), "--quiet",
+                       "--set", "sweep.mode=selfsim", "--set", "sweep.param=init.seed",
+                       "--set", "sweep.values=0,1", "--set", "init.n=129",
+                       "--set", "selfsim.s_end=12.2")
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_unparsable_value_exits_2_before_any_sub_run(self, tmp_path):
+        out = tmp_path / "bad"
+        assert run_cli("sweep", "--out", str(out), "--quiet",
+                       "--set", "sweep.param=init.lambda0",
+                       "--set", "sweep.values=1e-2,abc", *SWEEP_SIMULATE) == 2
+        assert not list(out.glob("sweep_*"))
+
+    def test_errors_survive_pickling(self):
+        # a sub-run's error travels back from its worker process pickled
+        made = {errors.ScaleFitFailure: (0.25, 0.0625)}
+        classes = [c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, errors.PetraceError)]
+        assert errors.ScaleFitFailure in classes
+        for cls in classes + [cli.ConfigError]:
+            exc = cls(*made.get(cls, ("what went wrong",)))
+            back = pickle.loads(pickle.dumps(exc))
+            assert type(back) is cls
+            assert str(back) == str(exc)
+            assert back.args == exc.args
+            assert vars(back) == vars(exc)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _nulled(obj):
+    """What strict JSON of obj reads back as: non-finite floats as None."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {k: _nulled(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nulled(v) for v in obj]
+    return obj
+
+
+payloads = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=5),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payloads)
+def test_json_is_strict_and_nulls_non_finite(obj):
+    back = json.loads(cli._json(obj), parse_constant=_reject_constant)
+    assert back == _nulled(obj)
 
 
 class TestRoundTrip:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from petrace.grid import cumulative, d1, d1_upwind, definite
+from petrace.grid import cumulative, d1, d1_upwind, d2, definite
 
 EPS = np.finfo(float).eps
 # d1's stencil weights sum to at most 128 in absolute value, over 12 h; a
@@ -18,6 +18,8 @@ EPS = np.finfo(float).eps
 # that sum and no more.
 D1_ULPS = 16.0
 D1_WEIGHT_SUM = 128.0
+# d2's one-sided edge stencil has the largest absolute weight sum, 12, over h^2
+D2_WEIGHT_SUM = 12.0
 
 
 def ref_cumulative(v, h):
@@ -150,3 +152,13 @@ def test_d1_exact_on_quartics(poly):
     assert np.all(np.abs(d1(v, h) - exact) <= tol)
     stacked = d1(np.stack((v, -v)), h)
     assert np.all(np.abs(stacked - np.stack((exact, -exact))) <= tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomials(degree=3, min_n=4))
+def test_d2_exact_on_cubics(poly):
+    x, h, coeffs = poly
+    second = np.polyder(coeffs, 2)
+    exact = np.polyval(second, x)
+    tol = D1_ULPS * EPS * (D2_WEIGHT_SUM * _size(coeffs, x) / (h * h) + _size(second, x))
+    assert np.all(np.abs(d2(np.polyval(coeffs, x), h) - exact) <= tol)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from petrace.errors import FitDegenerate
 from petrace.grid import Field, Grid, definite, integral, resample
 from petrace.trace import (
     SolverConfig,
     TraceState,
+    Trajectory,
     run_to_blowup,
     run_to_time,
     step,
@@ -220,7 +222,27 @@ class TestRuns:
         path = tmp_path / "trajectory.csv"
         traj.to_csv(path)
         header = path.read_text().splitlines()[0]
-        assert header == "t,max_a,max_c,mean_a,dt"
+        assert header == "t,max_a,max_c,mean_a,dt,a0,aZ0"
         data = np.genfromtxt(path, delimiter=",", skip_header=1)
         assert np.array_equal(data[:, 0], traj.t)
         assert np.array_equal(data[:, 1], traj.max_a)
+
+    def test_csv_reload_is_exact(self, tmp_path):
+        st = profile_state(0.5, 0.25, 129)
+        traj = run_to_time(st, SolverConfig(), 0.02)
+        path = tmp_path / "trajectory.csv"
+        traj.to_csv(path)
+        assert path.read_text().splitlines()[-1] == "# reason=t_max"
+        back = Trajectory.from_csv(path)
+        assert back.reason == traj.reason == "t_max"
+        for name in ("t", "max_a", "max_c", "mean_a", "dt", "a0", "aZ0"):
+            assert np.array_equal(getattr(back, name), getattr(traj, name)), name
+        assert back.probe_Z == () and back.probes.shape == (len(traj.t), 0)
+
+    def test_csv_without_reason_rejected(self, tmp_path):
+        st = profile_state(0.5, 0.25, 129)
+        path = tmp_path / "trajectory.csv"
+        run_to_time(st, SolverConfig(), 0.02).to_csv(path)
+        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        with pytest.raises(FitDegenerate):
+            Trajectory.from_csv(path)
