@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = ["Grid", "Field", "antiderivative", "derivative", "integral", "resample"]
 
@@ -220,8 +219,11 @@ def resample(f: Field, g: Grid) -> tuple[Field, int]:
 
     Cubic interpolation inside f's extent; beyond it the boundary value is
     held constant and each such node is counted in the returned warning
-    count.
+    count.  ``scipy.interpolate`` is imported on the first call, so that
+    importing the package does not load it.
     """
+    from scipy.interpolate import CubicSpline
+
     if g == f.grid:
         return Field(g, f.values), 0
     x = g.nodes

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.optimize import brentq
 
 from .errors import DegenerateTrace, ScaleFitFailure, TimeStepUnderflow
 from .grid import Field, Grid, cumulative, d1, d1_at_lo, d2, definite
+from .trace import _REASON_TAG
 
 __all__ = [
     "SelfSimilarState",
@@ -67,7 +67,10 @@ def psi(z):
 
 def s_from_lambda(lam: float) -> float:
     """Larger root s >= 1 of s exp(-s) = lam (the rescaled-clock epoch of an
-    amplitude scale)."""
+    amplitude scale).  ``scipy.optimize`` is imported on the first call, so
+    that importing the package does not load it."""
+    from scipy.optimize import brentq
+
     if not (0.0 < lam < math.exp(-1.0)):
         raise ValueError(f"lam={lam:g} outside (0, 1/e)")
     return float(brentq(lambda s: s * math.exp(-s) - lam, 1.0, 800.0, xtol=1e-14, rtol=1e-15))
@@ -453,6 +456,8 @@ class SelfsimTrajectory:
     reason: str = "s_end"   # "s_end", or "max_steps" when the step budget ran out first
 
     def to_csv(self, path):
+        """One line per sample under a header (an empty ``trapped`` where no
+        verdict was taken), then a last line ``# reason=<stop reason>``."""
         cols = np.column_stack([self.s, self.lam, self.nu, self.max_atil,
                                 self.max_ctil, self.Ia2, self.Ea2, self.Ic2_or_T])
         with open(path, "w") as fh:
@@ -463,6 +468,7 @@ class SelfsimTrajectory:
                     fh.write(txt + ",\n")
                 else:
                     fh.write(txt + f",{int(trap)}\n")
+            fh.write(f"{_REASON_TAG}{self.reason}\n")
 
 
 def stable_ds(st: SelfSimilarState, ds_safety: float = 0.25) -> float:

@@ -26,6 +26,7 @@ __all__ = ["TraceState", "SolverConfig", "StepResult", "Trajectory",
            "trace_rhs", "step", "run_to_blowup", "run_to_time"]
 
 _CSV_HEADER = "t,max_a,max_c,mean_a,dt,a0,aZ0"
+_PROBE_TAG = "a@"          # a probe column is named a@<Z>
 _REASON_TAG = "# reason="
 
 _MEAN_TOL = 1e-8    # relative to max(1, max|a|); the compatibility condition
@@ -263,28 +264,41 @@ class Trajectory:
 
     def to_csv(self, path):
         """One line per sample (t, max|a|, max|c|, mean of a, dt, a(t,0),
-        a_Z(t,0)) under a header, then a last line ``# reason=<stop reason>``."""
+        a_Z(t,0), then a at each probe height) under a header that names a
+        probe column ``a@<Z>``, then a last line ``# reason=<stop reason>``."""
         cols = np.column_stack([self.t, self.max_a, self.max_c, self.mean_a, self.dt,
-                                self.a0, self.aZ0])
+                                self.a0, self.aZ0, self.probes])
+        header = ",".join([_CSV_HEADER, *(f"{_PROBE_TAG}{float(z)!r}" for z in self.probe_Z)])
         with open(path, "w") as fh:
-            fh.write(_CSV_HEADER + "\n")
-            for row in cols:
+            fh.write(header + "\n")
+            for row in cols.tolist():  # Python floats format faster than numpy scalars
                 fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
             fh.write(f"{_REASON_TAG}{self.reason}\n")
 
     @classmethod
     def from_csv(cls, path) -> Trajectory:
-        """Read back what ``to_csv`` wrote.  The drift rate and the probe
-        series are not stored: ``drift_rate`` is NaN and ``probe_Z`` empty.
-        A file without the header or the stop reason raises FitDegenerate."""
+        """Read back what ``to_csv`` wrote, probe series included; a file
+        without probe columns gives an empty ``probe_Z``.  The drift rate is
+        not stored, so ``drift_rate`` is NaN.  A file without the header or
+        the stop reason raises FitDegenerate."""
         lines = Path(path).read_text().splitlines()
-        if len(lines) < 3 or lines[0] != _CSV_HEADER or not lines[-1].startswith(_REASON_TAG):
+        sep = "," + _PROBE_TAG
+        head, _, probe_names = lines[0].partition(sep) if lines else ("", "", "")
+        try:
+            probe_Z = tuple(map(float, probe_names.split(sep))) if probe_names else ()
+        except ValueError:  # a column after aZ0 that is not named a@<Z>
+            probe_Z = None
+        if (len(lines) < 3 or head != _CSV_HEADER or probe_Z is None
+                or not lines[-1].startswith(_REASON_TAG)):
             raise FitDegenerate(f"{path} is not a trajectory that records its stop reason")
         data = np.loadtxt(lines[1:-1], delimiter=",", ndmin=2)
+        if data.shape[1] != 7 + len(probe_Z):
+            raise FitDegenerate(f"{path} has {data.shape[1]} columns under a header of "
+                                f"{7 + len(probe_Z)}")
         n = len(data)
         return cls(t=data[:, 0], max_a=data[:, 1], max_c=data[:, 2], mean_a=data[:, 3],
                    dt=data[:, 4], a0=data[:, 5], aZ0=data[:, 6],
-                   drift_rate=np.full(n, math.nan), probe_Z=(), probes=np.empty((n, 0)),
+                   drift_rate=np.full(n, math.nan), probe_Z=probe_Z, probes=data[:, 7:],
                    reason=lines[-1][len(_REASON_TAG):])
 
 

@@ -77,7 +77,7 @@ class TestModes:
         csv = out / "trajectory.csv"
         assert csv.exists()
         header = csv.read_text().splitlines()[0]
-        assert header == "t,max_a,max_c,mean_a,dt,a0,aZ0"
+        assert header == "t,max_a,max_c,mean_a,dt,a0,aZ0,a@0.0,a@0.25,a@0.5"
         code = run_cli("fit", "--out", str(out), "--quiet")
         assert code == 0
         fit = json.loads((out / "fit.json").read_text())
@@ -126,6 +126,23 @@ class TestModes:
         assert reloaded["nu_slope"] == fit.nu_slope
         assert reloaded["T_hat"] == T_hat
         assert reloaded["rate_a"] == fit.rate_a
+
+    def test_fit_after_reload_keeps_pointwise_exponents(self, tmp_path):
+        out = tmp_path / "probes"
+        assert run_cli("simulate", "--out", str(out), "--quiet",
+                       "--set", "init.lambda0=1e-2", "--set", "init.n=513",
+                       "--set", "solver.n=513", "--set", "solver.blowup_cap=1e5") == 0
+        cfg = load_config(str(out / "resolved.config"), [])
+        assert run_cli("fit", "--out", str(out), "--quiet") == 0
+
+        state = initial_data.build_profile_data(cli._spec_from(cfg), cfg["init.n"])
+        traj = run_to_blowup(state, cli._solver_from(cfg))
+        fit = fit_rates(traj, estimate_T(traj))
+        assert len(fit.pointwise) == 3
+        reloaded = json.loads((out / "fit.json").read_text())["pointwise"]
+        assert reloaded == [{"Z": z, "exponent": e} for z, e in fit.pointwise]
+        rates = (out / "rates.csv").read_text().splitlines()
+        assert rates[1:] == [f"{z:.17g},{e:.17g}" for z, e in fit.pointwise]
 
     def test_fit_needs_recorded_reason(self, tmp_path, capsys):
         out = tmp_path / "old"

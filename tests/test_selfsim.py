@@ -325,6 +325,14 @@ class TestRun:
         assert landed.reason == "s_end"
         assert abs(landed.s[-1] - 12.05) <= 1e-12
 
+    def test_csv_records_stop_reason(self, tmp_path):
+        st = balanced_state(s0=12.0, c_amp=1e-4)
+        path = tmp_path / "trajectory.csv"
+        run_selfsim(st, SelfsimConfig(s_end=13.0, max_steps=3)).to_csv(path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 + 4 + 1
+        assert lines[-1] == "# reason=max_steps"
+
     def test_t_accumulates_lambda(self):
         st = balanced_state(s0=12.0)
         traj = run_selfsim(st, SelfsimConfig(s_end=12.2))

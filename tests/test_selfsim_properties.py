@@ -9,10 +9,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.interpolate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import petrace.grid
 from petrace.grid import Field, Grid, d1_at_lo
 from petrace.initial_data import InitialDataSpec, build_profile_data
 from petrace.selfsim import (
@@ -98,7 +98,7 @@ def test_frame_round_trip_builds_no_spline(monkeypatch, n, sigma):
         raise AssertionError("the rescaled frame built a spline")
 
     # patched on the class, so no module's own reference escapes it
-    monkeypatch.setattr(petrace.grid.CubicSpline, "__init__", no_spline)
+    monkeypatch.setattr(scipy.interpolate.CubicSpline, "__init__", no_spline)
     ss = decompose(state.a, state.c, sigma, s_from_lambda(1.0 / state.a.values[0]))
     for _ in range(3):
         ss = step_selfsim(ss, stable_ds(ss))

@@ -222,7 +222,7 @@ class TestRuns:
         path = tmp_path / "trajectory.csv"
         traj.to_csv(path)
         header = path.read_text().splitlines()[0]
-        assert header == "t,max_a,max_c,mean_a,dt,a0,aZ0"
+        assert header == "t,max_a,max_c,mean_a,dt,a0,aZ0,a@0.0,a@0.25,a@0.5"
         data = np.genfromtxt(path, delimiter=",", skip_header=1)
         assert np.array_equal(data[:, 0], traj.t)
         assert np.array_equal(data[:, 1], traj.max_a)
@@ -237,12 +237,32 @@ class TestRuns:
         assert back.reason == traj.reason == "t_max"
         for name in ("t", "max_a", "max_c", "mean_a", "dt", "a0", "aZ0"):
             assert np.array_equal(getattr(back, name), getattr(traj, name)), name
-        assert back.probe_Z == () and back.probes.shape == (len(traj.t), 0)
+        assert back.probe_Z == traj.probe_Z and np.array_equal(back.probes, traj.probes)
 
     def test_csv_without_reason_rejected(self, tmp_path):
         st = profile_state(0.5, 0.25, 129)
         path = tmp_path / "trajectory.csv"
         run_to_time(st, SolverConfig(), 0.02).to_csv(path)
         path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        with pytest.raises(FitDegenerate):
+            Trajectory.from_csv(path)
+
+    def test_csv_without_probes_reloads_empty(self, tmp_path):
+        st = profile_state(0.5, 0.25, 129)
+        traj = run_to_time(st, SolverConfig(probe_Z=()), 0.02)
+        path = tmp_path / "trajectory.csv"
+        traj.to_csv(path)
+        assert path.read_text().splitlines()[0] == "t,max_a,max_c,mean_a,dt,a0,aZ0"
+        back = Trajectory.from_csv(path)
+        assert back.probe_Z == () and back.probes.shape == (len(traj.t), 0)
+
+    @pytest.mark.parametrize("header", ["t,max_a,max_c,mean_a,dt,a0,aZ0,a@0.0,a@0.25,Z=0.5",
+                                        "t,max_a,max_c,mean_a,dt,a0,aZ0,a@0.0,a@0.25"])
+    def test_csv_with_bad_probe_header_rejected(self, tmp_path, header):
+        st = profile_state(0.5, 0.25, 129)
+        path = tmp_path / "trajectory.csv"
+        run_to_time(st, SolverConfig(), 0.02).to_csv(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([header, *lines[1:]]) + "\n")
         with pytest.raises(FitDegenerate):
             Trajectory.from_csv(path)
