@@ -19,7 +19,8 @@ from pathlib import Path
 
 from . import initial_data, selfsim
 from .diagnostics import check_initial_closeness, energy_report
-from .errors import FitDegenerate, PetraceError, ScaleFitFailure, TimeStepUnderflow
+from .errors import (ConstraintLost, FitDegenerate, NonFiniteState, PetraceError,
+                     ScaleFitFailure, TimeStepUnderflow)
 from .fitting import estimate_T, fit_rates
 from .params import FrameworkParams, alpha0, validate_params
 from .trace import SolverConfig, Trajectory, run_to_blowup
@@ -383,7 +384,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TimeStepUnderflow, FitDegenerate, ScaleFitFailure) as exc:
+    except (TimeStepUnderflow, FitDegenerate, ScaleFitFailure, NonFiniteState,
+            ConstraintLost) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (PetraceError, ValueError) as exc:

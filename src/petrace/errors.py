@@ -37,6 +37,17 @@ class InfeasibleBalance(PetraceError):
     """Mean-zero balancing would no longer be subordinate to the profile."""
 
 
+class NonFiniteState(PetraceError):
+    """A rescaled step produced scales that overflow or samples that are not
+    finite: the step ran away, typically because ds was far above the
+    stable step."""
+
+
+class ConstraintLost(PetraceError):
+    """A run that started on the zero-average constraint manifold left it:
+    the re-pinning after a step found a defect too large to project out."""
+
+
 class ScaleFitFailure(PetraceError):
     """The secant fit of the spatial scale nu left a discrete z=0 slope above
     the vanishing tolerance; ``residual`` is the best slope reached, at

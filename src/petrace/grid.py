@@ -5,11 +5,11 @@ cumulative antiderivative, finite-difference derivatives, definite
 integrals, and cubic resampling between grids.  All operations are
 deterministic: identical inputs produce bit-identical outputs.
 
-The antiderivative and first-derivative kernels (``cumulative``, ``d1``,
-``d1_upwind``) act along the last axis of their input, so a stack of
-fields sampled on one grid is processed in one call, with every row
-bit-identical to the 1-D result; ``definite``, ``d1_at_lo`` and ``d2``
-take 1-D samples.
+The antiderivative, definite-integral and first-derivative kernels
+(``cumulative``, ``definite``, ``d1``, ``d1_upwind``) act along the last
+axis of their input, so a stack of fields sampled on one grid is processed
+in one call, with every row bit-identical to the 1-D result; ``d1_at_lo``
+and ``d2`` take 1-D samples.
 """
 from __future__ import annotations
 
@@ -110,14 +110,23 @@ def cumulative(v: np.ndarray, h: float) -> np.ndarray:
     return g
 
 
-def definite(v: np.ndarray, h: float) -> float:
-    """Definite integral of 1-D samples: bit-identical to the last entry of ``cumulative``.
+def definite(v: np.ndarray, h: float) -> float | np.ndarray:
+    """Definite integral along the last axis: bit-identical to the last
+    entry of ``cumulative``.  A float for 1-D samples, one integral per row
+    for a stack.
 
     Only the Simpson pair sums and their running sum are formed, not the
-    odd-node half cells.
+    odd-node half cells.  1-D samples keep a path of their own: indexing
+    along the last axis would make 0-d arrays there, slower to add.
     """
-    n = v.shape[0]
+    n = v.shape[-1]
     m = (n - 1) // 2
+    if v.ndim > 1:
+        total = (np.add.accumulate(_simpson_pairs(v, h, m), axis=-1)[..., -1] if m > 0
+                 else np.zeros(v.shape[:-1]))
+        if n % 2 == 0:
+            total = total + 0.5 * h * (v[..., -2] + v[..., -1])
+        return total
     total = 0.0
     if m > 0:
         total = np.add.accumulate(_simpson_pairs(v, h, m))[-1]

@@ -23,11 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import DegenerateTrace, ScaleFitFailure, TimeStepUnderflow
+from .errors import (ConstraintLost, DegenerateTrace, NonFiniteState, ScaleFitFailure,
+                     TimeStepUnderflow)
 from .grid import Field, Grid, cumulative, d1, d1_at_lo, d2, definite
 from .trace import _REASON_TAG
 
@@ -53,6 +56,7 @@ __all__ = [
 _ORTH_TOL_VALUE = 1e-10
 _ORTH_TOL_SLOPE = 1e-8
 _INT_TOL = 1e-8
+_EPS = float(np.finfo(float).eps)
 
 
 def phi(z):
@@ -67,17 +71,70 @@ def psi(z):
 
 def s_from_lambda(lam: float) -> float:
     """Larger root s >= 1 of s exp(-s) = lam (the rescaled-clock epoch of an
-    amplitude scale).  ``scipy.optimize`` is imported on the first call, so
-    that importing the package does not load it."""
-    from scipy.optimize import brentq
+    amplitude scale).
 
+    Newton's method on g(s) = s - log s + log lam, which is increasing and
+    convex for s >= 1, from s = -log lam (where g <= 0), safeguarded by
+    bisection inside the bracket [1, 800] it keeps.
+    """
     if not (0.0 < lam < math.exp(-1.0)):
         raise ValueError(f"lam={lam:g} outside (0, 1/e)")
-    return float(brentq(lambda s: s * math.exp(-s) - lam, 1.0, 800.0, xtol=1e-14, rtol=1e-15))
+    target = -math.log(lam)
+    lo, hi = 1.0, 800.0
+    s = target
+    for _ in range(200):
+        g = s - math.log(s) - target
+        if g == 0.0:
+            break
+        if g > 0.0:
+            hi = s
+        else:
+            lo = s
+        slope = 1.0 - 1.0 / s
+        nxt = s - g / slope if slope > 0.0 else hi
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - s) <= 2.0 * _EPS * s:
+            return nxt
+        s = nxt
+    return s
 
 
 def _on_domain(g: Grid, hi: float) -> bool:
     return abs(g.lo) <= 1e-12 and abs(g.hi - hi) <= 1e-9 * g.hi
+
+
+def _check_pinned(va, vc, h, lam, nu, sigma):
+    """The conditions every state meets: positive scales, atil and its
+    discrete slope vanishing at z = 0, and ctil vanishing on the boundary
+    (at z = 0, and for sigma=1 also at z = 1/nu)."""
+    if not (lam > 0.0 and nu > 0.0):
+        raise ValueError("lam and nu must be positive")
+    if abs(va[0]) > _ORTH_TOL_VALUE:
+        raise ValueError(f"atil(0) = {va[0]:g} violates the vanishing condition")
+    if abs(d1_at_lo(va, h)) > _ORTH_TOL_SLOPE:
+        raise ValueError("atil_z(0) violates the vanishing-slope condition")
+    edge = abs(vc[0]) if sigma == 0 else max(abs(vc[0]), abs(vc[-1]))
+    # the tolerance is relative to max|ctil| above 1, so that scan is only
+    # needed when the edge exceeds the absolute tolerance
+    if edge > _ORTH_TOL_VALUE and edge > _ORTH_TOL_VALUE * max(1.0, float(np.max(np.abs(vc)))):
+        raise ValueError("sigma=0 requires ctil(0) = 0" if sigma == 0
+                         else "sigma=1 requires ctil(0) = ctil(1/nu) = 0")
+
+
+@lru_cache(maxsize=8)
+def _lattice(n: int) -> np.ndarray:
+    """The fixed lattice xi_j = j/(n-1), built once per node count (read-only)."""
+    xi = np.linspace(0.0, 1.0, n)
+    xi.flags.writeable = False
+    return xi
+
+
+def _frozen_field(g: Grid, v: np.ndarray) -> Field:
+    """A Field on read-only samples that are already checked, without the copy."""
+    f = object.__new__(Field)
+    f.__dict__.update(grid=g, values=v)
+    return f
 
 
 @dataclass(frozen=True)
@@ -96,6 +153,10 @@ class SelfSimilarState:
     sigma: int
     t: float = 0.0
 
+    # On a state made by step_selfsim: the zero-average defect its re-pinning
+    # left unprojected (None when the projection fired).
+    _lost_defect = None
+
     def __post_init__(self):
         if self.sigma not in (0, 1):
             raise ValueError("sigma must be 0 or 1")
@@ -106,23 +167,42 @@ class SelfSimilarState:
             raise ValueError("atil and ctil must share a grid")
         if not _on_domain(g, 1.0 / self.nu):
             raise ValueError("self-similar domain must be [0, 1/nu]")
-        va = self.atil.values
-        if abs(va[0]) > _ORTH_TOL_VALUE:
-            raise ValueError(f"atil(0) = {va[0]:g} violates the vanishing condition")
-        if abs(d1_at_lo(va, g.h)) > _ORTH_TOL_SLOPE:
-            raise ValueError("atil_z(0) violates the vanishing-slope condition")
-        vc = self.ctil.values
-        ctol = _ORTH_TOL_VALUE * max(1.0, float(np.max(np.abs(vc))))
-        if self.sigma == 0:
-            if abs(vc[0]) > ctol:
-                raise ValueError("sigma=0 requires ctil(0) = 0")
-        else:
-            if abs(vc[0]) > ctol or abs(vc[-1]) > ctol:
-                raise ValueError("sigma=1 requires ctil(0) = ctil(1/nu) = 0")
+        _check_pinned(self.atil.values, self.ctil.values, g.h, self.lam, self.nu, self.sigma)
+
+    @classmethod
+    def _from_rows(cls, y, g, lam, nu, s, sigma, t, lost_defect):
+        """The state on the stacked rows y = (atil, ctil) on grid g, which
+        the caller has validated; y is frozen and becomes the state's
+        samples without a copy."""
+        y.flags.writeable = False
+        st = object.__new__(cls)
+        st.__dict__.update(atil=_frozen_field(g, y[0]), ctil=_frozen_field(g, y[1]),
+                           lam=lam, nu=nu, s=s, sigma=sigma, t=t, _rows=y,
+                           _lost_defect=lost_defect)
+        return st
 
     @property
     def grid(self) -> Grid:
         return self.atil.grid
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """The stacked (atil, ctil) samples, read-only."""
+        y = np.stack((self.atil.values, self.ctil.values))
+        y.flags.writeable = False
+        return y
+
+    @cached_property
+    def _stage1(self) -> "_Stage":
+        """The first RK stage at this state's own (lam, nu), on the nodes
+        xi/nu, computed once: stable_ds, modulation_rates, perturbation_rhs
+        and step_selfsim all read it.  Its arrays are read-only."""
+        n, nu = self.grid.n, self.nu
+        sg = _scale_rates(self._rows, _lattice(n) / nu, (1.0 / nu) / (n - 1),
+                          self.lam, nu, self.sigma)
+        for arr in (sg.z, sg.ph, sg.em1, sg.P0, sg.P1):
+            arr.flags.writeable = False
+        return sg
 
     def zero_average_defect(self) -> float:
         """int (phi + atil) dz; zero for states reachable from zero-mean
@@ -142,25 +222,53 @@ class ModulationRates:
 # rates and right-hand sides on the stacked (atil, ctil) rows
 # ---------------------------------------------------------------------------
 
-def _stacked(st: SelfSimilarState) -> np.ndarray:
-    return np.stack((st.atil.values, st.ctil.values))
+class _Stage(NamedTuple):
+    """What one right-hand-side evaluation at (lam, nu) shares: the nodes z
+    and their spacing h, phi(z) and expm1(-z), the antiderivatives
+    P0 = D^-1 atil and P1 = D^-1 ctil, I2 = int (phi + atil)^2, and the
+    log-rates of (lam, nu)."""
+
+    z: np.ndarray
+    h: float
+    ph: np.ndarray
+    em1: np.ndarray
+    P0: np.ndarray
+    P1: np.ndarray
+    I2: float
+    dlam: float
+    dnu: float
 
 
-def _scale_rates(y, z, h, lam, nu, sigma):
-    """Profile samples, the antiderivatives of both rows, the integrals
-    I2 = int (phi + atil)^2 and Cint = int D^-1 ctil, and the log-rates of
-    (lam, nu)."""
-    ph = np.exp(-z)
-    P = cumulative(y, h)
-    I2 = definite((ph + y[0]) ** 2, h)
-    Cint = definite(P[1], h)
+def _log_rates(I2, Cint, lam, nu, sigma):
     q = lam if sigma == 0 else 1.0
     dlam = -1.0 + 2.0 * nu * I2 - q * nu * nu * Cint
-    return ph, P, q, dlam, -1.0 - dlam
+    return dlam, -1.0 - dlam
 
 
-def _field_rhs(y, z, h, lam, nu, sigma, fixed_z=False):
-    """Time derivative of the stacked (atil, ctil), and the log-rates.
+def _scale_rates(y, z, h, lam, nu, sigma) -> _Stage:
+    """The stage of the stacked (atil, ctil) at (lam, nu) on the nodes z:
+    both antiderivatives in one call, and I2 with Cint = int D^-1 ctil in
+    one call on a (2, n) stack."""
+    ph = np.exp(-z)
+    P = cumulative(y, h)
+    w = np.empty_like(P)
+    np.square(ph + y[0], out=w[0])
+    w[1] = P[1]
+    I2, Cint = definite(w, h).tolist()
+    return _Stage(z, h, ph, np.expm1(-z), P[0], P[1], I2,
+                  *_log_rates(I2, Cint, lam, nu, sigma))
+
+
+def _with_ctil(sg: _Stage, vc, lam, nu, sigma) -> _Stage:
+    """Stage sg with ctil replaced by vc: only D^-1 ctil, its integral and
+    the rates change.  Bitwise what _scale_rates gives on the new rows."""
+    P1 = cumulative(vc, sg.h)
+    dlam, dnu = _log_rates(sg.I2, definite(P1, sg.h), lam, nu, sigma)
+    return sg._replace(P1=P1, dlam=dlam, dnu=dnu)
+
+
+def _field_rhs(y, sg: _Stage, lam, nu, sigma, fixed_z=False):
+    """Time derivative of the stacked (atil, ctil), given their stage sg.
 
     By default: at fixed xi = nu z and without the sigma=1 diffusion, as
     the stepper integrates it (it applies the diffusion by Crank-Nicolson).
@@ -169,28 +277,28 @@ def _field_rhs(y, z, h, lam, nu, sigma, fixed_z=False):
     condition is needed.  ``fixed_z`` gives the full derivative at fixed z:
     domain-stretch transport dnu z d/dz and diffusion included.
     """
-    ph, P, q, dlam, dnu = _scale_rates(y, z, h, lam, nu, sigma)
-    transport = np.expm1(-z) - P[0]
+    z, h, ph, dlam, dnu = sg.z, sg.h, sg.ph, sg.dlam, sg.dnu
+    q = lam if sigma == 0 else 1.0
+    transport = sg.em1 - sg.P0
     if fixed_z:
         transport += dnu * z
     rhs = transport * d1(y, h)
     va, vc = y
     # the constant source 2 nu I2 - q nu^2 Cint is dlam + 1
-    rhs[0] += (va * (dlam + 2.0 * ph + va) + ph * (P[0] - dnu * z)
-               + (dlam + 1.0) * (ph - 1.0) - q * nu * P[1])
+    rhs[0] += (va * (dlam + 2.0 * ph + va) + ph * (sg.P0 - dnu * z)
+               + (dlam + 1.0) * (ph - 1.0) - q * nu * sg.P1)
     rhs[1] += vc * ((2.0 * dlam if sigma == 1 else dlam) + 2.0 * (va + ph))
     if sigma == 1:
         if fixed_z:
             rhs[1] += (lam / (nu * nu)) * d2(vc, h)
         rhs[1, 0] = rhs[1, -1] = 0.0
-    return rhs, dlam, dnu
+    return rhs
 
 
 def modulation_rates(st: SelfSimilarState) -> ModulationRates:
     """Log-rates of (lam, nu); their sum is -1 by construction."""
-    g = st.grid
-    *_, dlam, dnu = _scale_rates(_stacked(st), g.nodes, g.h, st.lam, st.nu, st.sigma)
-    return ModulationRates(dlam, dnu)
+    sg = st._stage1
+    return ModulationRates(sg.dlam, sg.dnu)
 
 
 def perturbation_rhs(st: SelfSimilarState, rates: ModulationRates) -> tuple[Field, Field]:
@@ -200,11 +308,12 @@ def perturbation_rhs(st: SelfSimilarState, rates: ModulationRates) -> tuple[Fiel
     source then cancels the perturbation and its slope at z = 0 to
     round-off.
     """
-    g = st.grid
-    rhs, dlam, _ = _field_rhs(_stacked(st), g.nodes, g.h, st.lam, st.nu, st.sigma,
-                              fixed_z=True)
+    sg = st._stage1
+    dlam = sg.dlam
     if abs(dlam - rates.dlog_lambda) > 1e-12 * max(1.0, abs(dlam)):
         raise ValueError("rates inconsistent with the state")
+    rhs = _field_rhs(st._rows, sg, st.lam, st.nu, st.sigma, fixed_z=True)
+    g = st.grid
     return Field(g, rhs[0]), Field(g, rhs[1])
 
 
@@ -241,25 +350,28 @@ def _secant_nu(G, nu_guess: float) -> float:
 _PROJECT_THRESHOLD = 1e-6
 
 
-def _project_zero_average(atil_vals, z, h):
-    """Remove the zero-average defect along the tail bump psi, which keeps
-    the z=0 vanishing conditions intact.
+def _project_zero_average(atil, z, h, ez):
+    """Remove the zero-average defect of atil, in place, along the tail bump
+    psi, which keeps the z=0 vanishing conditions intact; ez = exp(-z).
 
     The projection only fires near the constraint manifold: for states that
     carry an order-one defect on purpose (bare-profile diagnostics) the
     constraint is not theirs to satisfy, and forcing it would corrupt them.
+    Returns None when it fired, else the defect it left in place.
     """
-    defect = definite(np.exp(-z) + atil_vals, h)
+    defect = definite(ez + atil, h)
     if abs(defect) > _PROJECT_THRESHOLD:
-        return atil_vals
-    ps = psi(z)
-    return atil_vals - (defect / definite(ps, h)) * ps
+        return defect
+    ps = -np.expm1(-z) - z * ez  # psi(z), on the exp(-z) already formed
+    atil -= (defect / definite(ps, h)) * ps
+    return None
 
 
 def _pin(u, nu_guess):
-    """Perturbation about the profile of the lam-scaled amplitude u (samples
-    on the lattice xi), at the spatial scale whose nodes xi/nu make its
-    discrete slope at z = 0 vanish.  Returns (atil, nu, grid)."""
+    """Turn the lam-scaled amplitude u (samples on the lattice xi), in place,
+    into the perturbation about the profile at the spatial scale whose
+    nodes xi/nu make its discrete slope at z = 0 vanish.  Returns (nu, grid,
+    the defect the projection left, or None)."""
     n = u.shape[0]
     head = u[:5]
     k = np.arange(5.0)
@@ -271,9 +383,10 @@ def _pin(u, nu_guess):
     nu = _secant_nu(G, nu_guess)
     g = Grid(0.0, 1.0 / nu, n)
     z = g.nodes
-    atil = u - np.exp(-z)
-    atil[0] = 0.0
-    return _project_zero_average(atil, z, g.h), nu, g
+    ez = np.exp(-z)
+    u -= ez
+    u[0] = 0.0
+    return nu, g, _project_zero_average(u, z, g.h, ez)
 
 
 def decompose(a: Field, c: Field, sigma: int, s0: float) -> SelfSimilarState:
@@ -295,7 +408,8 @@ def decompose(a: Field, c: Field, sigma: int, s0: float) -> SelfSimilarState:
     if a0 <= 0.0 or d0 >= 0.0:
         raise DegenerateTrace(f"a(0)={a0:g}, a_Z(0)={d0:g}: profile matching impossible")
     lam = 1.0 / a0
-    atil, nu, gz = _pin(lam * va, -1.0 / (lam * d0))
+    atil = lam * va
+    nu, gz, _ = _pin(atil, -1.0 / (lam * d0))
     ctil = lam ** (1 + sigma) * c.values
     if sigma == 1:
         ctil[-1] = 0.0
@@ -314,7 +428,9 @@ def reconstruct(st: SelfSimilarState) -> tuple[Field, Field]:
 def _reorthogonalize(va, vc, z, h, lam, nu, sigma):
     """Re-pin the scales so the perturbation and its discrete slope vanish
     at z = 0 exactly.  The fields sit on the nodes z = xi/nu; the new nodes
-    xi/nu_bar carry the same physical samples, so the map is nodal."""
+    xi/nu_bar carry the same physical samples, so the map is nodal.
+    Returns the stacked rows (atil, ctil), lam, nu, the grid, and the
+    defect the projection left (None when it fired)."""
     one_plus = 1.0 + float(va[0])
     if one_plus <= 0.0:
         raise DegenerateTrace("perturbation reached -1 at the origin")
@@ -322,12 +438,15 @@ def _reorthogonalize(va, vc, z, h, lam, nu, sigma):
     if d0 >= 1.0:
         raise DegenerateTrace("perturbation slope reached 1 at the origin")
     ratio = 1.0 / one_plus
-    atil, nu_bar, g = _pin(ratio * (np.exp(-z) + va), nu * one_plus / (1.0 - d0))
-    ctil = ratio ** (1 + sigma) * vc
-    ctil[0] = 0.0
+    y = np.empty((2, va.shape[0]))
+    np.add(np.exp(-z), va, out=y[0])
+    y[0] *= ratio
+    nu_bar, g, lost = _pin(y[0], nu * one_plus / (1.0 - d0))
+    np.multiply(vc, ratio ** (1 + sigma), out=y[1])
+    y[1, 0] = 0.0
     if sigma == 1:
-        ctil[-1] = 0.0
-    return atil, ctil, lam / one_plus, nu_bar, g
+        y[1, -1] = 0.0
+    return y, lam / one_plus, nu_bar, g, lost
 
 
 def build_state(atil: Field, ctil: Field, lam: float, nu: float, s: float,
@@ -342,9 +461,9 @@ def build_state(atil: Field, ctil: Field, lam: float, nu: float, s: float,
     g = atil.grid
     if ctil.grid != g or not _on_domain(g, 1.0 / nu):
         raise ValueError("build_state needs atil and ctil on one grid on [0, 1/nu]")
-    atil2, ctil2, lam2, nu2, gnew = _reorthogonalize(
+    y, lam2, nu2, gnew, _ = _reorthogonalize(
         atil.values, ctil.values, g.nodes, g.h, lam, nu, sigma)
-    return SelfSimilarState(Field(gnew, atil2), Field(gnew, ctil2), lam2, nu2, s, sigma, t)
+    return SelfSimilarState(Field(gnew, y[0]), Field(gnew, y[1]), lam2, nu2, s, sigma, t)
 
 
 def reorthogonalize(st: SelfSimilarState) -> SelfSimilarState:
@@ -374,37 +493,58 @@ def _cn_half(vc, h, tau, coeff):
     return solve_banded((1, 1), ab, rhs)
 
 
+def _exp_scales(loglam, lognu):
+    """(lam, nu) from their logarithms; NonFiniteState when either is not a
+    positive finite float."""
+    try:
+        lam, nu = math.exp(loglam), math.exp(lognu)
+    except OverflowError:
+        lam = nu = math.inf
+    if not (0.0 < lam < math.inf and 0.0 < nu < math.inf):
+        raise NonFiniteState(f"scales out of range: log lam = {loglam:g}, log nu = {lognu:g}")
+    return lam, nu
+
+
 def step_selfsim(st: SelfSimilarState, ds: float) -> SelfSimilarState:
     """One RK4 step of (atil, ctil, log lam, log nu) over ds at fixed xi = nu z.
 
     Each stage evaluates the right-hand side on the nodes z = xi/nu of its
     own nu, so the domain stretch belongs to the frame and the transport
-    keeps only -D^-1(phi + atil).  For sigma=1 the diffusion is applied as
-    two Crank-Nicolson half steps around the advection/reaction update
-    (Strang), on the grid of the scale before and after the step.
+    keeps only -D^-1(phi + atil); the first stage is the state's own, which
+    stable_ds may already have computed.  For sigma=1 the diffusion is
+    applied as two Crank-Nicolson half steps around the advection/reaction
+    update (Strang), on the grid of the scale before and after the step.
     Afterwards the state is re-orthogonalized: the scales are re-pinned so
     the perturbation and its discrete slope vanish at z = 0 exactly, and
     the nodes xi/nu of the re-pinned nu take the old samples node for node.
+
+    Raises NonFiniteState when the scales overflow or a sample is not
+    finite: the step ran away.
     """
     if ds < 0.0:
         raise ValueError("ds must be non-negative")
     if ds == 0.0:
         return st
     n, sigma = st.grid.n, st.sigma
-    xi = np.linspace(0.0, 1.0, n)
+    xi = _lattice(n)
     lam, nu = st.lam, st.nu
-    y = _stacked(st)
+    y = st._rows
+    sg = st._stage1
 
     if sigma == 1:
-        y[1] = _cn_half(y[1], (1.0 / nu) / (n - 1), 0.5 * ds, lam / (nu * nu))
+        # the leading half step changes ctil only: the atil parts of the
+        # state's stage stand
+        y = y.copy()
+        y[1] = _cn_half(y[1], sg.h, 0.5 * ds, lam / (nu * nu))
+        sg = _with_ctil(sg, y[1], lam, nu, sigma)
 
     def f(y, loglam, lognu):
-        la, nn = math.exp(loglam), math.exp(lognu)
-        rhs, dlam, dnu = _field_rhs(y, xi / nn, (1.0 / nn) / (n - 1), la, nn, sigma)
-        return rhs, dlam, dnu, la
+        la, nn = _exp_scales(loglam, lognu)
+        sg = _scale_rates(y, xi / nn, (1.0 / nn) / (n - 1), la, nn, sigma)
+        return _field_rhs(y, sg, la, nn, sigma), sg.dlam, sg.dnu, la
 
     loglam, lognu = math.log(lam), math.log(nu)
-    k1 = f(y, loglam, lognu)
+    k1 = _field_rhs(y, sg, lam, nu, sigma), sg.dlam, sg.dnu, lam
     k2 = f(y + 0.5 * ds * k1[0], loglam + 0.5 * ds * k1[1], lognu + 0.5 * ds * k1[2])
     k3 = f(y + 0.5 * ds * k2[0], loglam + 0.5 * ds * k2[1], lognu + 0.5 * ds * k2[2])
     k4 = f(y + ds * k3[0], loglam + ds * k3[1], lognu + ds * k3[2])
@@ -414,14 +554,19 @@ def step_selfsim(st: SelfSimilarState, ds: float) -> SelfSimilarState:
     loglam += c6 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
     lognu += c6 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
     t = st.t + c6 * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-    lam, nu = math.exp(loglam), math.exp(lognu)
+    lam, nu = _exp_scales(loglam, lognu)
     h = (1.0 / nu) / (n - 1)
 
     if sigma == 1:
         y[1] = _cn_half(y[1], h, 0.5 * ds, lam / (nu * nu))
 
-    atil, ctil, lam, nu, g = _reorthogonalize(y[0], y[1], xi / nu, h, lam, nu, sigma)
-    return SelfSimilarState(Field(g, atil), Field(g, ctil), lam, nu, st.s + ds, sigma, t)
+    y, lam, nu, g, lost = _reorthogonalize(y[0], y[1], xi / nu, h, lam, nu, sigma)
+    # the checks SelfSimilarState makes, in one pass over the stacked rows
+    if not np.isfinite(y).all():
+        raise NonFiniteState(f"non-finite samples after the step from s={st.s:g} "
+                             f"over ds={ds:g}")
+    _check_pinned(y[0], y[1], g.h, lam, nu, sigma)
+    return SelfSimilarState._from_rows(y, g, lam, nu, st.s + ds, sigma, t, lost)
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +581,10 @@ class SelfsimConfig:
     params: object | None = None   # FrameworkParams for energy/trapped columns
     max_steps: int = 2_000_000
     ds_floor: float = 1e-12
+
+    def __post_init__(self):
+        if not (math.isfinite(self.ds_safety) and self.ds_safety > 0.0):
+            raise ValueError(f"ds_safety must be positive and finite, got {self.ds_safety!r}")
 
 
 @dataclass
@@ -475,18 +624,23 @@ def stable_ds(st: SelfSimilarState, ds_safety: float = 0.25) -> float:
     """CFL-style step: the transport speed at fixed z (including the domain
     stretch term, which dominates at the right edge) against the grid
     spacing.  The stepper transports at fixed xi, where the stretch term is
-    absent, so this bound is conservative there."""
-    g = st.grid
-    _, P, _, _, dnu = _scale_rates(_stacked(st), g.nodes, g.h, st.lam, st.nu, st.sigma)
-    speed = dnu * g.nodes + np.expm1(-g.nodes) - P[0]
+    absent, so this bound is conservative there.  It reads the state's first
+    RK stage, which the step from the state then reuses."""
+    sg = st._stage1
+    speed = sg.dnu * sg.z + sg.em1 - sg.P0
     wmax = float(np.max(np.abs(speed)))
-    return ds_safety * g.h / max(1.0, wmax)
+    return ds_safety * sg.h / max(1.0, wmax)
 
 
 def run_selfsim(st0: SelfSimilarState, cfg: SelfsimConfig) -> SelfsimTrajectory:
     """March to s_end, sampling scales, sup norms and (optionally) the
     weighted energies and the trapped verdict along the way.  The result's
-    ``reason`` says whether s_end was reached or max_steps ran out."""
+    ``reason`` says whether s_end was reached or max_steps ran out.
+
+    The start must satisfy the zero-average constraint, and every step must
+    keep it: a step whose re-pinning cannot project the defect out raises
+    ConstraintLost.
+    """
     from . import diagnostics  # local import to avoid a module cycle
 
     rows = []
@@ -523,6 +677,9 @@ def run_selfsim(st0: SelfSimilarState, cfg: SelfsimConfig) -> SelfsimTrajectory:
         if ds < cfg.ds_floor:
             raise TimeStepUnderflow(f"ds={ds:g} below floor at s={st.s:g}")
         st = step_selfsim(st, ds)
+        if st._lost_defect is not None:
+            raise ConstraintLost(f"zero-average defect {st._lost_defect:.3g} above the "
+                                 f"projection threshold {_PROJECT_THRESHOLD:g} at s={st.s:g}")
         k += 1
         if k % cfg.stride == 0 or st.s >= cfg.s_end:
             record(st)

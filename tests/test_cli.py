@@ -173,6 +173,21 @@ class TestModes:
         assert lines[0] == "s,lambda,nu,max_atil,max_ctil,I_a2,E_a2,I_c2_or_T,trapped"
         assert len(lines) > 3
 
+    def test_runaway_ds_safety_exits_3(self, tmp_path, capsys):
+        # fifty times the stable step throws the first step off the
+        # zero-average manifold: a typed numerical failure, not a traceback
+        code = run_cli("selfsim", "--out", str(tmp_path / "ss"), "--quiet",
+                       "--set", "init.n=513", "--set", "selfsim.ds_safety=50")
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["0", "-1", "nan"])
+    def test_bad_ds_safety_exits_2(self, tmp_path, capsys, bad):
+        code = run_cli("selfsim", "--out", str(tmp_path / "ss"), "--quiet",
+                       "--set", "init.n=513", "--set", f"selfsim.ds_safety={bad}")
+        assert code == 2
+        assert "ds_safety" in capsys.readouterr().err
+
     def test_scale_fit_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         # the secant runs as usual, on a residual that has no root
         from petrace import selfsim
@@ -268,7 +283,7 @@ class TestSweep:
         made = {errors.ScaleFitFailure: (0.25, 0.0625)}
         classes = [c for c in vars(errors).values()
                    if isinstance(c, type) and issubclass(c, errors.PetraceError)]
-        assert errors.ScaleFitFailure in classes
+        assert {errors.ScaleFitFailure, errors.NonFiniteState, errors.ConstraintLost} <= set(classes)
         for cls in classes + [cli.ConfigError]:
             exc = cls(*made.get(cls, ("what went wrong",)))
             back = pickle.loads(pickle.dumps(exc))

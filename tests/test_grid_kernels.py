@@ -1,7 +1,8 @@
 """Property tests of the raw grid kernels.
 
-``cumulative``, ``d1`` and ``d1_upwind`` act along the last axis.  A stacked
-call must agree with the one-field kernels applied row by row, and the
+``cumulative``, ``definite``, ``d1`` and ``d1_upwind`` act along the last
+axis.  A stacked call must agree with the one-field kernels applied row by
+row, and the
 one-field kernels with the written-out reference forms below, on odd and
 even node counts, including grids shorter than 8 nodes.
 """
@@ -109,6 +110,28 @@ def test_stacked_upwind_matches_rows(u, h):
 def test_definite_is_antiderivative_tail_bitwise(v, h):
     assert definite(v, h) == cumulative(v, h)[-1]
     assert definite(v, h) == ref_cumulative(v, h)[-1]
+
+
+@st.composite
+def short_stacks(draw):
+    n = draw(st.integers(1, 64))
+    rows = draw(st.integers(1, 4))
+    return draw(arrays(np.float64, (rows, n), elements=values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(short_stacks(), spacing)
+def test_stacked_definite_matches_rows_bitwise(u, h):
+    stacked = definite(u, h)
+    assert stacked.shape == (len(u),)
+    for row, total in zip(u, stacked):
+        one = definite(row, h)
+        assert type(one) is float
+        assert total == one == cumulative(row, h)[-1]
+    # a deeper stack keeps its leading axes
+    deep = definite(np.stack((u, -u)), h)
+    assert deep.shape == (2, len(u))
+    assert np.array_equal(deep[0], stacked) and np.array_equal(deep[1], definite(-u, h))
 
 
 def _size(coeffs, x):

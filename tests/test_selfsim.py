@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from petrace.errors import DegenerateTrace, ScaleFitFailure
+from petrace import selfsim
+from petrace.errors import ConstraintLost, DegenerateTrace, NonFiniteState, ScaleFitFailure
 from petrace.grid import Field, Grid, antiderivative, cumulative, d1_at_lo, definite, resample
 from petrace.selfsim import (
     _secant_nu,
@@ -20,6 +21,7 @@ from petrace.selfsim import (
     reorthogonalize,
     run_selfsim,
     s_from_lambda,
+    stable_ds,
     step_selfsim,
 )
 
@@ -36,6 +38,24 @@ class TestScalesClock:
     def test_rejects_large_lambda(self):
         with pytest.raises(ValueError):
             s_from_lambda(0.5)
+
+    def test_matches_brentq(self):
+        from scipy.optimize import brentq  # the reference only
+
+        for lam in [*np.logspace(-300.0, math.log10(0.3), 400), 0.3]:
+            lam = float(lam)
+            ref = brentq(lambda s: s * math.exp(-s) - lam, 1.0, 800.0, xtol=1e-14, rtol=1e-15)
+            assert abs(s_from_lambda(lam) - ref) <= 1e-14 * ref, lam
+
+    def test_near_one_over_e(self):
+        # the root approaches the double root s = 1 of s exp(-s) = 1/e, so it
+        # is determined only to about sqrt(eps); the residual is not
+        top = math.exp(-1.0)
+        for lam in (0.31, 0.35, 0.3678, top * (1.0 - 1e-8), top * (1.0 - 1e-14),
+                    float(np.nextafter(top, 0.0))):
+            s = s_from_lambda(lam)
+            assert s >= 1.0
+            assert abs(s * math.exp(-s) - lam) <= 4.0 * np.finfo(float).eps * lam, lam
 
 
 class TestDecompose:
@@ -284,6 +304,32 @@ class TestStep:
         assert st.ctil.values[0] == 0.0
         assert st.ctil.values[-1] == 0.0
 
+    @pytest.mark.parametrize("sigma", [0, 1])
+    @pytest.mark.parametrize("ds", [100.0, 1e6, 1e300])
+    def test_runaway_step_raises_non_finite_state(self, sigma, ds):
+        st = balanced_state(s0=12.0, n=129, sigma=sigma, c_amp=1e-3)
+        with pytest.raises(NonFiniteState):
+            step_selfsim(st, ds)
+
+    def test_non_finite_samples_raise_non_finite_state(self, monkeypatch):
+        # finite scales but a non-finite ctil: only the scan of the stepped
+        # rows sees it
+        st = balanced_state(s0=12.0, n=129, sigma=1, c_amp=1e-3)
+        cn_half = selfsim._cn_half
+        calls = []
+
+        def poisoned(vc, h, tau, coeff):
+            out = cn_half(vc, h, tau, coeff)
+            calls.append(1)
+            if len(calls) == 2:  # the trailing half step
+                out[len(out) // 2] = math.nan
+            return out
+
+        monkeypatch.setattr(selfsim, "_cn_half", poisoned)
+        with pytest.raises(NonFiniteState):
+            step_selfsim(st, 0.01)
+        assert len(calls) == 2
+
     def test_domain_tracks_growing_scale(self):
         st = balanced_state(s0=12.0)
         out = st
@@ -301,6 +347,30 @@ class TestRun:
         st = bare_profile_state()
         with pytest.raises(ValueError):
             run_selfsim(st, SelfsimConfig(s_end=st.s + 0.1))
+
+    def test_constraint_loss_raises_in_a_run(self, monkeypatch):
+        st = balanced_state(s0=12.0, c_amp=1e-4)
+        # every re-pinning now finds its defect too large to project out
+        monkeypatch.setattr(selfsim, "_PROJECT_THRESHOLD", 1e-300)
+        with pytest.raises(ConstraintLost) as caught:
+            run_selfsim(st, SelfsimConfig(s_end=13.0))
+        # a bare step keeps the state and only records the defect left; the
+        # run raised at its first step
+        first = step_selfsim(st, stable_ds(st))
+        assert first._lost_defect is not None and abs(first._lost_defect) > 1e-300
+        assert f"at s={first.s:g}" in str(caught.value)
+
+    def test_bare_profile_step_keeps_its_defect(self):
+        st = bare_profile_state()
+        out = step_selfsim(st, 1e-3)
+        assert abs(out._lost_defect) > selfsim._PROJECT_THRESHOLD
+        assert out._lost_defect == out.zero_average_defect()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_config_rejects_bad_ds_safety(self, bad):
+        with pytest.raises(ValueError, match="ds_safety"):
+            SelfsimConfig(s_end=13.0, ds_safety=bad)
+        assert SelfsimConfig(s_end=13.0, ds_safety=2.0).ds_safety == 2.0
 
     def test_short_run_records_monotone_s(self):
         st = balanced_state(s0=12.0, c_amp=1e-4)

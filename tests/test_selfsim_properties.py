@@ -1,29 +1,44 @@
-"""Property tests of the nodal maps of the rescaled frame.
+"""Property tests of the nodal maps and the stepper of the rescaled frame.
 
 The rescaled nodes z = xi/nu of a state are the physical nodes xi on
 [0, 1] divided by nu, so decompose, reconstruct and the re-pinning of the
 scales move samples node for node.  These tests check that on odd and even
 node counts, and that no spline is built on the way.
+
+A state computes its first RK stage once, on first use, and stable_ds,
+modulation_rates and step_selfsim share it.  The tests below check that
+sharing it changes no bit: against a fresh evaluation, with and without a
+prior stable_ds, and for a run against the hand-written loop.
 """
 import math
 
 import numpy as np
 import pytest
 import scipy.interpolate
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
+from petrace.errors import ConstraintLost, PetraceError, ScaleFitFailure
 from petrace.grid import Field, Grid, d1_at_lo
 from petrace.initial_data import InitialDataSpec, build_profile_data
 from petrace.selfsim import (
+    SelfsimConfig,
+    SelfsimTrajectory,
+    SelfSimilarState,
+    _scale_rates,
+    _with_ctil,
     build_state,
     decompose,
+    modulation_rates,
     reconstruct,
     reorthogonalize,
+    run_selfsim,
     s_from_lambda,
     stable_ds,
     step_selfsim,
 )
+
+from helpers import balanced_state
 
 EPS = np.finfo(float).eps
 
@@ -105,3 +120,128 @@ def test_frame_round_trip_builds_no_spline(monkeypatch, n, sigma):
     a, c = reconstruct(ss)
     assert a.grid == state.a.grid and c.grid == state.c.grid
     assert np.all(np.isfinite(a.values)) and np.all(np.isfinite(c.values))
+
+
+# ---------------------------------------------------------------------------
+# the first RK stage is computed once per state and shared
+# ---------------------------------------------------------------------------
+
+epochs = st.floats(6.0, 40.0)
+temperature_amps = st.just(0.0) | st.floats(1e-6, 1e-2)
+
+
+@st.composite
+def balanced_states(draw):
+    """Profile-adapted state on the zero-average constraint manifold (see
+    helpers.balanced_state); the coarsest grids at some epochs admit no
+    spatial-scale fit, and those draws are rejected."""
+    n, sigma, s0, c_amp = draw(node_counts), draw(sigmas), draw(epochs), draw(temperature_amps)
+    try:
+        return balanced_state(s0=s0, n=n, sigma=sigma, c_amp=c_amp)
+    except ScaleFitFailure:
+        reject()
+
+
+def fresh_stage(state):
+    """The state's stage evaluated from scratch, on the nodes xi/nu."""
+    n, nu = state.grid.n, state.nu
+    y = np.stack((state.atil.values, state.ctil.values))
+    return _scale_rates(y, np.linspace(0.0, 1.0, n) / nu, (1.0 / nu) / (n - 1),
+                        state.lam, nu, state.sigma)
+
+
+def copy_of(state):
+    """An equal state that has computed nothing yet."""
+    return SelfSimilarState(state.atil, state.ctil, state.lam, state.nu, state.s,
+                            state.sigma, state.t)
+
+
+def same_state(a, b):
+    return (np.array_equal(a.atil.values, b.atil.values)
+            and np.array_equal(a.ctil.values, b.ctil.values)
+            and (a.lam, a.nu, a.s, a.t, a.sigma) == (b.lam, b.nu, b.s, b.t, b.sigma)
+            and a.grid == b.grid)
+
+
+def outcome(fn):
+    """fn()'s result, or the type of the package error it raised."""
+    try:
+        return fn()
+    except PetraceError as exc:
+        return type(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(balanced_states())
+def test_stable_ds_and_rates_equal_a_fresh_stage_bitwise(state):
+    sg = fresh_stage(state)
+    speed = sg.dnu * sg.z + sg.em1 - sg.P0
+    assert stable_ds(state, 0.3) == 0.3 * sg.h / max(1.0, float(np.max(np.abs(speed))))
+    rates = modulation_rates(state)
+    assert (rates.dlog_lambda, rates.dlog_nu) == (sg.dlam, sg.dnu)
+    # after the sigma=1 leading half step only ctil changes; the shortcut
+    # that keeps the atil parts is bitwise a fresh evaluation too
+    vc = 0.5 * state.ctil.values
+    short = _with_ctil(state._stage1, vc, state.lam, state.nu, state.sigma)
+    y = np.stack((state.atil.values, vc))
+    full = _scale_rates(y, sg.z, sg.h, state.lam, state.nu, state.sigma)
+    assert np.array_equal(short.P1, full.P1) and np.array_equal(short.P0, full.P0)
+    assert (short.I2, short.dlam, short.dnu) == (full.I2, full.dlam, full.dnu)
+
+
+@settings(max_examples=40, deadline=None)
+@given(balanced_states())
+def test_step_does_not_depend_on_a_prior_stable_ds(state):
+    ds = 0.8 * stable_ds(copy_of(state))
+    warm, cold = copy_of(state), copy_of(state)
+    stable_ds(warm)
+    assert "_stage1" in vars(warm) and "_stage1" not in vars(cold)
+    a = outcome(lambda: step_selfsim(warm, ds))
+    b = outcome(lambda: step_selfsim(cold, ds))
+    if isinstance(a, SelfSimilarState):
+        assert same_state(a, b)
+    else:
+        assert a is b
+
+
+@settings(max_examples=30, deadline=None)
+@given(balanced_states())
+def test_cached_arrays_are_read_only(state):
+    stepped = outcome(lambda: step_selfsim(state, stable_ds(state)))
+    states = [state] + ([stepped] if isinstance(stepped, SelfSimilarState) else [])
+    for s in states:
+        sg = s._stage1
+        for arr in (s._rows, s.atil.values, s.ctil.values, sg.z, sg.ph, sg.em1, sg.P0, sg.P1):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(balanced_states())
+def test_run_equals_the_hand_loop_bitwise(state):
+    assume(abs(state.zero_average_defect()) <= 1e-8)
+    s_end = state.s + 1.0
+    steps = 20
+
+    def hand_loop():
+        cur = copy_of(state)
+        lams = [cur.lam]
+        for _ in range(steps):
+            if cur.s >= s_end:
+                break
+            cur = step_selfsim(cur, min(stable_ds(cur), s_end - cur.s))
+            if cur._lost_defect is not None:
+                raise ConstraintLost("the run stops here")
+            lams.append(cur.lam)
+        return cur, lams
+
+    run = outcome(lambda: run_selfsim(copy_of(state),
+                                      SelfsimConfig(s_end=s_end, max_steps=steps)))
+    hand = outcome(hand_loop)
+    if isinstance(run, SelfsimTrajectory):
+        cur, lams = hand
+        assert same_state(run.final_state, cur)
+        assert np.array_equal(run.lam, lams)
+    else:
+        assert run is hand
