@@ -249,13 +249,14 @@ def _scale_rates(y, z, h, lam, nu, sigma) -> _Stage:
     """The stage of the stacked (atil, ctil) at (lam, nu) on the nodes z:
     both antiderivatives in one call, and I2 with Cint = int D^-1 ctil in
     one call on a (2, n) stack."""
-    ph = np.exp(-z)
+    mz = -z
+    ph = np.exp(mz)
     P = cumulative(y, h)
     w = np.empty_like(P)
     np.square(ph + y[0], out=w[0])
     w[1] = P[1]
     I2, Cint = definite(w, h).tolist()
-    return _Stage(z, h, ph, np.expm1(-z), P[0], P[1], I2,
+    return _Stage(z, h, ph, np.expm1(mz), P[0], P[1], I2,
                   *_log_rates(I2, Cint, lam, nu, sigma))
 
 
@@ -490,7 +491,10 @@ def _cn_half(vc, h, tau, coeff):
     ab[1, 0] = ab[1, -1] = 1.0
     ab[0, 1] = 0.0
     ab[2, -2] = 0.0
-    return solve_banded((1, 1), ab, rhs)
+    # both operands are built here; a non-finite ctil is left to the step's
+    # finite scan, which raises NonFiniteState
+    return solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True,
+                        check_finite=False)
 
 
 def _exp_scales(loglam, lognu):
