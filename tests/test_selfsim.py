@@ -311,24 +311,26 @@ class TestStep:
         with pytest.raises(NonFiniteState):
             step_selfsim(st, ds)
 
-    def test_non_finite_samples_raise_non_finite_state(self, monkeypatch):
-        # finite scales but a non-finite ctil: only the scan of the stepped
-        # rows sees it
-        st = balanced_state(s0=12.0, n=129, sigma=1, c_amp=1e-3)
-        cn_half = selfsim._cn_half
+    @pytest.mark.parametrize("sigma", [0, 1])
+    def test_non_finite_samples_raise_non_finite_state(self, monkeypatch, sigma):
+        # finite scales but a non-finite ctil from the last RK stage: for
+        # sigma=1 it passes through the trailing Crank-Nicolson half step, and
+        # only the scan of the stepped rows sees it
+        st = balanced_state(s0=12.0, n=129, sigma=sigma, c_amp=1e-3)
+        field_rhs = selfsim._field_rhs
         calls = []
 
-        def poisoned(vc, h, tau, coeff):
-            out = cn_half(vc, h, tau, coeff)
+        def poisoned(y, sg, *args, **kwargs):
+            rhs = field_rhs(y, sg, *args, **kwargs)
             calls.append(1)
-            if len(calls) == 2:  # the trailing half step
-                out[len(out) // 2] = math.nan
-            return out
+            if len(calls) == 4:
+                rhs[1, len(y[1]) // 2] = math.nan
+            return rhs
 
-        monkeypatch.setattr(selfsim, "_cn_half", poisoned)
+        monkeypatch.setattr(selfsim, "_field_rhs", poisoned)
         with pytest.raises(NonFiniteState):
             step_selfsim(st, 0.01)
-        assert len(calls) == 2
+        assert len(calls) == 4
 
     def test_domain_tracks_growing_scale(self):
         st = balanced_state(s0=12.0)
