@@ -28,17 +28,15 @@ from .trace import SolverConfig, Trajectory, run_to_blowup
 MODES = ("simulate", "selfsim", "validate-params", "alpha0", "energies",
          "fit", "redecompose", "sweep")
 
-# key -> (type tag, default); types: f float, i int, b bool, s string
+# key -> (type tag, default); types: f float, i int, s string
 REGISTRY = {
     "mode": ("s", "alpha0"),
-    "solver.n": ("i", 1025),
+    "solver.n": ("i", 1025),                    # not read: init.n sets the grid
     "solver.dt_safety": ("f", 0.5),
     "solver.blowup_cap": ("f", math.nan),       # nan: 1e6 * max|a0|
     "solver.dt_floor": ("f", 1e-15),
-    "solver.upwind": ("b", False),
     "solver.t_max": ("f", math.inf),
     "solver.max_steps": ("i", 5_000_000),
-    "solver.store_stride": ("i", 0),
     "solver.probe_z": ("s", "0,0.25,0.5"),
     "selfsim.s_end": ("f", math.nan),           # nan: s0 + 5
     "selfsim.ds_safety": ("f", 0.25),
@@ -90,21 +88,12 @@ def _parse_value(key, raw):
             return float(raw)
         if kind == "i":
             return int(raw)
-        if kind == "b":
-            low = raw.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         return raw
     except ValueError as exc:
         raise ConfigError(f"cannot parse {key} = {raw!r}") from exc
 
 
 def _format_value(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)
@@ -170,9 +159,8 @@ def _solver_from(cfg) -> SolverConfig:
     return SolverConfig(
         n=cfg["solver.n"], dt_safety=cfg["solver.dt_safety"],
         blowup_cap=None if math.isnan(cap) else cap,
-        dt_floor=cfg["solver.dt_floor"], upwind=cfg["solver.upwind"],
-        t_max=cfg["solver.t_max"], max_steps=cfg["solver.max_steps"],
-        store_stride=cfg["solver.store_stride"], probe_Z=probes,
+        dt_floor=cfg["solver.dt_floor"], t_max=cfg["solver.t_max"],
+        max_steps=cfg["solver.max_steps"], probe_Z=probes,
     )
 
 

@@ -1,15 +1,16 @@
 """Uniform 1-D grids, sampled fields, and their calculus.
 
-Everything else in the package is built on the four operations here:
-cumulative antiderivative, finite-difference derivatives, definite
-integrals, and cubic resampling between grids.  All operations are
-deterministic: identical inputs produce bit-identical outputs.
+Both frames are built on the kernels here: cumulative antiderivative,
+finite-difference derivatives and definite integrals.  ``resample`` (cubic
+interpolation) compares fields across grids; no solver calls it.  All
+operations are deterministic: identical inputs produce bit-identical
+outputs.
 
 The antiderivative, definite-integral and first-derivative kernels
-(``cumulative``, ``definite``, ``d1``, ``d1_upwind``) act along the last
-axis of their input, so a stack of fields sampled on one grid is processed
-in one call, with every row bit-identical to the 1-D result; ``d1_at_lo``
-and ``d2`` take 1-D samples.
+(``cumulative``, ``definite``, ``d1``) act along the last axis of their
+input, so a stack of fields sampled on one grid is processed in one call,
+with every row bit-identical to the 1-D result; ``d1_at_lo`` and ``d2``
+take 1-D samples.
 """
 from __future__ import annotations
 
@@ -61,10 +62,6 @@ class Field:
             raise ValueError("field contains non-finite samples")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "Field":
-        return cls(grid, fn(grid.nodes))
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -177,19 +174,6 @@ def d1_at_lo(v: np.ndarray, h: float) -> float:
     return float(
         (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / (12.0 * h)
     )
-
-
-def d1_upwind(v: np.ndarray, h: float, speed: np.ndarray) -> np.ndarray:
-    """First-order upwind derivative along the last axis for transport with
-    the given speed field."""
-    diff = (v[..., 1:] - v[..., :-1]) / h
-    back = np.empty_like(v)
-    fwd = np.empty_like(v)
-    back[..., 1:] = diff
-    back[..., 0] = diff[..., 0]
-    fwd[..., :-1] = diff
-    fwd[..., -1] = diff[..., -1]
-    return np.where(speed >= 0.0, back, fwd)
 
 
 def d2(v: np.ndarray, h: float) -> np.ndarray:

@@ -589,6 +589,8 @@ class SelfsimConfig:
     def __post_init__(self):
         if not (math.isfinite(self.ds_safety) and self.ds_safety > 0.0):
             raise ValueError(f"ds_safety must be positive and finite, got {self.ds_safety!r}")
+        if self.stride < 1:
+            raise ValueError(f"stride must be at least 1, got {self.stride!r}")
 
 
 @dataclass

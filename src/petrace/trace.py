@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import FitDegenerate, TimeStepUnderflow
-from .grid import Field, Grid, cumulative, d1, d1_at_lo, d1_upwind, d2, definite
+from .grid import Field, Grid, cumulative, d1, d1_at_lo, d2, definite
 
 __all__ = ["TraceState", "SolverConfig", "StepResult", "Trajectory",
            "trace_rhs", "step", "run_to_blowup", "run_to_time"]
@@ -72,15 +72,13 @@ class TraceState:
 
 @dataclass
 class SolverConfig:
-    n: int = 1025
+    n: int = 1025                     # not read: the initial state sets the grid
     dt_safety: float = 0.5
     blowup_cap: float | None = None   # None: resolved to 1e6 * max|a0| at run start
     dt_floor: float = 1e-15
-    upwind: bool = False
     dt_max: float = 1.0
     t_max: float = math.inf
     max_steps: int = 5_000_000
-    store_stride: int = 0             # 0: keep no full states
     probe_Z: tuple[float, ...] = (0.0, 0.25, 0.5)
 
     def __post_init__(self):
@@ -90,6 +88,8 @@ class SolverConfig:
             raise ValueError("blowup_cap must be positive")
         if self.dt_floor <= 0:
             raise ValueError("dt_floor must be positive")
+        if not all(0.0 <= z <= 1.0 for z in self.probe_Z):
+            raise ValueError(f"probe heights must lie in [0, 1], got {self.probe_Z}")
 
 
 @dataclass
@@ -104,7 +104,7 @@ class StepResult:
 # right-hand side
 # ---------------------------------------------------------------------------
 
-def _rhs(u, h, sigma, upwind=False, diffusion=True, P=None):
+def _rhs(u, h, sigma, diffusion=True, P=None):
     """Time derivative of the stacked state u = (a, c), shape (2, n).
 
     P, if given, is ``cumulative(u, h)``: the running integrals (A, C)."""
@@ -117,7 +117,7 @@ def _rhs(u, h, sigma, upwind=False, diffusion=True, P=None):
     # k starts as the transport terms -A u_Z; adding the sources in place
     # gives the same floating-point sums as a^2 - A a_Z - C - K and
     # 2 a c - A c_Z
-    k = d1_upwind(u, h, A) if upwind else d1(u, h)
+    k = d1(u, h)
     k *= -A
     k[0] += sq
     k[0] -= C
@@ -131,10 +131,10 @@ def _rhs(u, h, sigma, upwind=False, diffusion=True, P=None):
     return k
 
 
-def trace_rhs(state: TraceState, upwind: bool = False) -> tuple[Field, Field]:
+def trace_rhs(state: TraceState) -> tuple[Field, Field]:
     """Instantaneous time derivative (da, dc) of the trace system."""
     u = np.stack((state.a.values, state.c.values))
-    da, dc = _rhs(u, state.grid.h, state.sigma, upwind=upwind)
+    da, dc = _rhs(u, state.grid.h, state.sigma)
     return Field(state.grid, da), Field(state.grid, dc)
 
 
@@ -160,13 +160,13 @@ def _cn_half(vc, h, tau):
     return solve_banded((1, 1), ab, rhs)
 
 
-def _rk4(u, h, sigma, dt, upwind, P1):
+def _rk4(u, h, sigma, dt, P1):
     # diffusion excluded here; for sigma=1 it is applied in the Strang halves.
     # P1 is the stage-1 antiderivative, already computed for the step size.
-    k1 = _rhs(u, h, sigma, upwind, diffusion=False, P=P1)
-    k2 = _rhs(u + 0.5 * dt * k1, h, sigma, upwind, diffusion=False)
-    k3 = _rhs(u + 0.5 * dt * k2, h, sigma, upwind, diffusion=False)
-    k4 = _rhs(u + dt * k3, h, sigma, upwind, diffusion=False)
+    k1 = _rhs(u, h, sigma, diffusion=False, P=P1)
+    k2 = _rhs(u + 0.5 * dt * k1, h, sigma, diffusion=False)
+    k3 = _rhs(u + 0.5 * dt * k2, h, sigma, diffusion=False)
+    k4 = _rhs(u + dt * k3, h, sigma, diffusion=False)
     return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -210,7 +210,7 @@ def step(state: TraceState, cfg: SolverConfig, dt_cap: float | None = None) -> S
     if state.sigma == 1:
         u[1] = _cn_half(u[1], h, 0.5 * dt)
         P[1] = cumulative(u[1], h)
-    na, nc = _rk4(u, h, state.sigma, dt, cfg.upwind, P)
+    na, nc = _rk4(u, h, state.sigma, dt, P)
     if state.sigma == 1:
         nc = _cn_half(nc, h, 0.5 * dt)
 
@@ -232,7 +232,7 @@ def step(state: TraceState, cfg: SolverConfig, dt_cap: float | None = None) -> S
 
 @dataclass
 class Trajectory:
-    """Per-step diagnostics of a run, plus optional stored states."""
+    """Per-step diagnostics of a run and the state it stopped at."""
 
     t: np.ndarray
     max_a: np.ndarray
@@ -245,7 +245,6 @@ class Trajectory:
     probe_Z: tuple[float, ...]
     probes: np.ndarray             # samples of a at the probe heights
     reason: str                    # blowup | t_max | dt_underflow | max_steps
-    states: list[TraceState] = field(default_factory=list)
     final_state: TraceState | None = None
 
     def __post_init__(self):
@@ -324,7 +323,6 @@ def run_to_time(state0: TraceState, cfg: SolverConfig, t_end: float) -> Trajecto
 
 def _run(state0: TraceState, cfg: SolverConfig, t_end):
     rows = {k: [] for k in ("t", "max_a", "max_c", "mean_a", "dt", "a0", "aZ0", "drift", "probes")}
-    states: list[TraceState] = []
     idx = _probe_indices(state0.grid, cfg.probe_Z)
     h = state0.grid.h
 
@@ -343,7 +341,7 @@ def _run(state0: TraceState, cfg: SolverConfig, t_end):
     record(state, 0.0, 0.0)
     reason = "max_steps"
     limit = min(cfg.t_max, t_end) if t_end is not None else cfg.t_max
-    for k in range(cfg.max_steps):
+    for _ in range(cfg.max_steps):
         if state.t >= limit:
             reason = "t_max"
             break
@@ -361,8 +359,6 @@ def _run(state0: TraceState, cfg: SolverConfig, t_end):
             break
         state = res.state
         record(state, res.dt, res.mean_drift_rate)
-        if cfg.store_stride and (k % cfg.store_stride == 0):
-            states.append(state)
     else:
         reason = "max_steps"
     if reason == "max_steps" and state.t >= limit:
@@ -381,6 +377,5 @@ def _run(state0: TraceState, cfg: SolverConfig, t_end):
         probe_Z=tuple(cfg.probe_Z),
         probes=probes,
         reason=reason,
-        states=states,
         final_state=state,
     )

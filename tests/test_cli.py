@@ -28,9 +28,14 @@ class TestConfig:
         assert cfg["init.lambda0"] == 5e-3
         assert cfg["solver.n"] == 513
 
-    def test_unknown_key_rejected(self, tmp_path):
+    # solver.upwind and solver.store_stride were removed, so a resolved.config
+    # written before then is rejected rather than silently half-read
+    @pytest.mark.parametrize("line", ["solver.nn = 3", "solver.upwind = false",
+                                      "solver.store_stride = 0"],
+                             ids=lambda line: line.split(" =")[0])
+    def test_unknown_key_rejected(self, tmp_path, line):
         cfg_file = tmp_path / "bad.config"
-        cfg_file.write_text("solver.nn = 3\n")
+        cfg_file.write_text(line + "\n")
         assert run_cli("alpha0", "--config", str(cfg_file)) == 2
 
     def test_bad_value_rejected(self):
@@ -180,6 +185,21 @@ class TestModes:
                        "--set", "init.n=513", "--set", "selfsim.ds_safety=50")
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("probes", ["-0.25", "0,1.5"])
+    def test_probe_height_outside_unit_interval_exits_2(self, tmp_path, capsys, probes):
+        code = run_cli("simulate", "--out", str(tmp_path / "sim"), "--quiet",
+                       "--set", "init.n=129", "--set", "solver.max_steps=5",
+                       "--set", f"solver.probe_z={probes}")
+        assert code == 2
+        assert "probe heights" in capsys.readouterr().err
+        assert not (tmp_path / "sim" / "trajectory.csv").exists()
+
+    def test_zero_stride_exits_2(self, tmp_path, capsys):
+        code = run_cli("selfsim", "--out", str(tmp_path / "ss"), "--quiet",
+                       "--set", "init.n=513", "--set", "selfsim.stride=0")
+        assert code == 2
+        assert "stride" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["0", "-1", "nan"])
     def test_bad_ds_safety_exits_2(self, tmp_path, capsys, bad):

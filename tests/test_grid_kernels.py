@@ -1,8 +1,7 @@
 """Property tests of the raw grid kernels.
 
-``cumulative``, ``definite``, ``d1`` and ``d1_upwind`` act along the last
-axis.  A stacked call must agree with the one-field kernels applied row by
-row, and the
+``cumulative``, ``definite`` and ``d1`` act along the last axis.  A stacked
+call must agree with the one-field kernels applied row by row, and the
 one-field kernels with the written-out reference forms below, on odd and
 even node counts, including grids shorter than 8 nodes.
 """
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from petrace.grid import cumulative, d1, d1_upwind, d2, definite
+from petrace.grid import cumulative, d1, d2, definite
 
 EPS = np.finfo(float).eps
 # d1's stencil weights sum to at most 128 in absolute value, over 12 h; a
@@ -95,14 +94,6 @@ def test_stacked_d1_matches_rows(u, h):
     assert np.all(np.abs(stacked - rows) <= tol)
     # rows of one call do not interact: each equals the one-field call
     assert all(np.array_equal(stacked[i], d1(u[i], h)) for i in range(len(u)))
-
-
-@settings(max_examples=100, deadline=None)
-@given(stacks(min_n=2), spacing)
-def test_stacked_upwind_matches_rows(u, h):
-    speed = u[0] - u[-1]
-    rows = np.stack([d1_upwind(r, h, speed) for r in u])
-    assert np.array_equal(d1_upwind(u, h, speed), rows)
 
 
 @settings(max_examples=200, deadline=None)

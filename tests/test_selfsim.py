@@ -374,6 +374,11 @@ class TestRun:
             SelfsimConfig(s_end=13.0, ds_safety=bad)
         assert SelfsimConfig(s_end=13.0, ds_safety=2.0).ds_safety == 2.0
 
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_config_rejects_stride_below_one(self, bad):
+        with pytest.raises(ValueError, match="stride"):
+            SelfsimConfig(s_end=13.0, stride=bad)
+
     def test_short_run_records_monotone_s(self):
         st = balanced_state(s0=12.0, c_amp=1e-4)
         traj = run_selfsim(st, SelfsimConfig(s_end=12.3, stride=2))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -81,22 +83,6 @@ class TestTraceRhs:
         interior = slice(4, -4)
         assert np.max(np.abs(dc.values[interior] - exact_dc[interior])) <= 5e-4
 
-    def test_upwind_variant_consistent_with_central(self):
-        st = profile_state(0.2, 0.15, 513, c_amp=0.2)
-        da_c, dc_c = trace_rhs(st, upwind=False)
-        da_u, dc_u = trace_rhs(st, upwind=True)
-        scale = da_c.max_abs()
-        # first-order upwinding differs from the central stencils at O(h)
-        h = st.grid.h
-        assert 0.0 < np.max(np.abs(da_u.values - da_c.values)) <= 50.0 * h * scale
-
-    def test_upwind_run_stays_stable(self):
-        st = profile_state(0.1, 0.2, 257, c_amp=0.5)
-        cfg = SolverConfig(blowup_cap=1e9, upwind=True)
-        traj = run_to_time(st, cfg, 0.02)
-        assert traj.reason == "t_max"
-        assert np.all(np.isfinite(traj.max_a))
-
     def test_cosine_velocity_vs_fine_grid_oracle(self):
         # a = cos(2 pi Z) is zero-mean; da vanishes identically in the
         # continuum, so compare against a much finer discretization.
@@ -173,6 +159,12 @@ class TestStep:
 
 
 class TestRuns:
+    @pytest.mark.parametrize("probes", [(-0.25,), (0.0, 1.5), (math.nan,)])
+    def test_probe_heights_outside_unit_interval_rejected(self, probes):
+        with pytest.raises(ValueError, match="probe heights"):
+            SolverConfig(probe_Z=probes)
+        assert SolverConfig(probe_Z=(0.0, 1.0)).probe_Z == (0.0, 1.0)
+
     def test_profile_data_blows_up(self):
         st = profile_state(1e-2, 1.0 / (2 * np.log(1e2)), 513)
         cfg = SolverConfig(blowup_cap=1e3 * st.a.max_abs())
