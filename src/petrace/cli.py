@@ -288,7 +288,7 @@ def _mode_sweep(cfg, outdir, quiet):
     sub-run starts.  The sub-runs are independent and CPU-bound, so they
     run in worker processes, one per usable CPU at most.  The workers are
     forked: they inherit the imported package, where ``spawn`` and
-    ``forkserver`` workers import numpy, scipy and petrace again, which
+    ``forkserver`` workers import numpy and petrace again, which
     made a two-value sweep slower.  What the sub-runs print is written in
     value order, and the first failure in value order cancels the sub-runs
     not yet started and is raised as the worker raised it.

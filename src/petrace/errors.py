@@ -38,9 +38,10 @@ class InfeasibleBalance(PetraceError):
 
 
 class NonFiniteState(PetraceError):
-    """A rescaled step produced scales that overflow or samples that are not
-    finite: the step ran away, typically because ds was far above the
-    stable step."""
+    """A step ran away: its result holds samples that are not finite or, in
+    the rescaled frame, scales that overflow.  Typically the step was far
+    above the stable one, or a physical run went on past what the floats
+    hold because its blow-up cap lies beyond them."""
 
 
 class ConstraintLost(PetraceError):

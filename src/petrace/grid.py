@@ -1,10 +1,11 @@
 """Uniform 1-D grids, sampled fields, and their calculus.
 
 Both frames are built on the kernels here: cumulative antiderivative,
-finite-difference derivatives and definite integrals.  ``resample`` (cubic
-interpolation) compares fields across grids; no solver calls it.  All
-operations are deterministic: identical inputs produce bit-identical
-outputs.
+finite-difference derivatives, definite integrals and the Crank-Nicolson
+diffusion half step ``cn_half``, which needs numpy alone.  ``resample``
+(cubic interpolation) compares fields across grids; no solver calls it,
+and it is the one place the package imports scipy.  All operations are
+deterministic: identical inputs produce bit-identical outputs.
 
 The antiderivative, definite-integral and first-derivative kernels
 (``cumulative``, ``definite``, ``d1``) act along the last axis of their
@@ -15,7 +16,7 @@ take 1-D samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -62,6 +63,15 @@ class Field:
             raise ValueError("field contains non-finite samples")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _trusted(cls, grid: Grid, v: np.ndarray) -> Field:
+        """The Field on samples the caller has checked (shape and finiteness):
+        v is frozen and kept without a copy."""
+        v.flags.writeable = False
+        f = object.__new__(cls)
+        f.__dict__.update(grid=grid, values=v)
+        return f
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -184,6 +194,47 @@ def d2(v: np.ndarray, h: float) -> np.ndarray:
     out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
     out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
     return out
+
+
+@lru_cache(maxsize=8)
+def _sine_eigenvalues(n: int) -> np.ndarray:
+    """e_k = 4 sin^2(pi k / (2 (n-1))), k = 0..n-1: minus the eigenvalues of
+    the 3-point second difference with Dirichlet ends on the sine modes of
+    an n-node grid (read-only)."""
+    e = np.sin((0.5 * np.pi / (n - 1)) * np.arange(n))
+    e *= e
+    e *= 4.0
+    e.flags.writeable = False
+    return e
+
+
+def cn_half(v: np.ndarray, h: float, tau: float) -> np.ndarray:
+    """Crank-Nicolson step of u_t = u_ZZ over time tau with u = 0 at both
+    ends: the solution x of (I - r D) x = (I + r D) v on the interior nodes,
+    r = tau / (2 h^2), D the 3-point second difference.  The ends of v are
+    taken as 0 and those of x are exactly 0.
+
+    D is diagonal in the sine basis (DST-I), so the solve is exact there:
+    the odd extension of v, of length 2(n-1), goes through a real FFT, each
+    mode k is multiplied by (1 - r e_k)/(1 + r e_k), which lies in (-1, 1],
+    and the inverse FFT returns x.
+    """
+    n = v.shape[0]
+    m = n - 1
+    w = np.empty(2 * m)
+    w[1:m] = v[1:m]
+    w[0] = w[m] = 0.0
+    np.negative(v[m - 1:0:-1], out=w[m + 1:])
+    r = tau / (2.0 * h * h)
+    re = r * _sine_eigenvalues(n)
+    gain = 1.0 - re
+    re += 1.0
+    gain /= re
+    spec = np.fft.rfft(w)
+    spec *= gain
+    x = np.fft.irfft(spec, 2 * m)[:n]
+    x[0] = x[m] = 0.0
+    return x
 
 
 # ---------------------------------------------------------------------------

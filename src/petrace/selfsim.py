@@ -27,11 +27,10 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (ConstraintLost, DegenerateTrace, NonFiniteState, ScaleFitFailure,
                      TimeStepUnderflow)
-from .grid import Field, Grid, cumulative, d1, d1_at_lo, d2, definite
+from .grid import Field, Grid, cn_half, cumulative, d1, d1_at_lo, d2, definite
 from .trace import _REASON_TAG
 
 __all__ = [
@@ -130,13 +129,6 @@ def _lattice(n: int) -> np.ndarray:
     return xi
 
 
-def _frozen_field(g: Grid, v: np.ndarray) -> Field:
-    """A Field on read-only samples that are already checked, without the copy."""
-    f = object.__new__(Field)
-    f.__dict__.update(grid=g, values=v)
-    return f
-
-
 @dataclass(frozen=True)
 class SelfSimilarState:
     """Rescaled state on z in [0, 1/nu] at self-similar time s.
@@ -176,7 +168,7 @@ class SelfSimilarState:
         samples without a copy."""
         y.flags.writeable = False
         st = object.__new__(cls)
-        st.__dict__.update(atil=_frozen_field(g, y[0]), ctil=_frozen_field(g, y[1]),
+        st.__dict__.update(atil=Field._trusted(g, y[0]), ctil=Field._trusted(g, y[1]),
                            lam=lam, nu=nu, s=s, sigma=sigma, t=t, _rows=y,
                            _lost_defect=lost_defect)
         return st
@@ -477,26 +469,6 @@ def reorthogonalize(st: SelfSimilarState) -> SelfSimilarState:
 # stepping
 # ---------------------------------------------------------------------------
 
-def _cn_half(vc, h, tau, coeff):
-    n = vc.shape[0]
-    r = 0.5 * tau * coeff / (h * h)
-    rhs = vc.copy()
-    rhs[1:-1] = vc[1:-1] + r * (vc[:-2] - 2.0 * vc[1:-1] + vc[2:])
-    rhs[0] = 0.0
-    rhs[-1] = 0.0
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -r
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[2, :-1] = -r
-    ab[1, 0] = ab[1, -1] = 1.0
-    ab[0, 1] = 0.0
-    ab[2, -2] = 0.0
-    # both operands are built here; a non-finite ctil is left to the step's
-    # finite scan, which raises NonFiniteState
-    return solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True,
-                        check_finite=False)
-
-
 def _exp_scales(loglam, lognu):
     """(lam, nu) from their logarithms; NonFiniteState when either is not a
     positive finite float."""
@@ -539,7 +511,7 @@ def step_selfsim(st: SelfSimilarState, ds: float) -> SelfSimilarState:
         # the leading half step changes ctil only: the atil parts of the
         # state's stage stand
         y = y.copy()
-        y[1] = _cn_half(y[1], sg.h, 0.5 * ds, lam / (nu * nu))
+        y[1] = cn_half(y[1], sg.h, 0.5 * ds * lam / (nu * nu))
         sg = _with_ctil(sg, y[1], lam, nu, sigma)
 
     def f(y, loglam, lognu):
@@ -562,7 +534,7 @@ def step_selfsim(st: SelfSimilarState, ds: float) -> SelfSimilarState:
     h = (1.0 / nu) / (n - 1)
 
     if sigma == 1:
-        y[1] = _cn_half(y[1], h, 0.5 * ds, lam / (nu * nu))
+        y[1] = cn_half(y[1], h, 0.5 * ds * lam / (nu * nu))
 
     y, lam, nu, g, lost = _reorthogonalize(y[0], y[1], xi / nu, h, lam, nu, sigma)
     # the checks SelfSimilarState makes, in one pass over the stacked rows
@@ -666,6 +638,8 @@ def run_selfsim(st0: SelfSimilarState, cfg: SelfsimConfig) -> SelfsimTrajectory:
 
     if abs(st0.zero_average_defect()) > _INT_TOL:
         raise ValueError("trajectory start must satisfy int(phi + atil) = 0")
+    if cfg.s_end < st0.s:
+        raise ValueError(f"s_end={cfg.s_end:g} lies before the start s={st0.s:g}")
     st = st0
     record(st)
     k = 0

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .errors import FitDegenerate, TimeStepUnderflow
-from .grid import Field, Grid, cumulative, d1, d1_at_lo, d2, definite
+from .errors import FitDegenerate, NonFiniteState, TimeStepUnderflow
+from .grid import Field, Grid, cn_half, cumulative, d1, d1_at_lo, d2, definite
 
 __all__ = ["TraceState", "SolverConfig", "StepResult", "Trajectory",
            "trace_rhs", "step", "run_to_blowup", "run_to_time"]
@@ -88,6 +87,8 @@ class SolverConfig:
             raise ValueError("blowup_cap must be positive")
         if self.dt_floor <= 0:
             raise ValueError("dt_floor must be positive")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be at least 1, got {self.max_steps!r}")
         if not all(0.0 <= z <= 1.0 for z in self.probe_Z):
             raise ValueError(f"probe heights must lie in [0, 1], got {self.probe_Z}")
 
@@ -142,24 +143,6 @@ def trace_rhs(state: TraceState) -> tuple[Field, Field]:
 # time stepping
 # ---------------------------------------------------------------------------
 
-def _cn_half(vc, h, tau):
-    """Crank-Nicolson diffusion over time tau with Dirichlet rows pinned."""
-    n = vc.shape[0]
-    r = 0.5 * tau / (h * h)
-    rhs = vc.copy()
-    rhs[1:-1] = vc[1:-1] + r * (vc[:-2] - 2.0 * vc[1:-1] + vc[2:])
-    rhs[0] = 0.0
-    rhs[-1] = 0.0
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -r
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[2, :-1] = -r
-    ab[1, 0] = ab[1, -1] = 1.0
-    ab[0, 1] = 0.0
-    ab[2, -2] = 0.0
-    return solve_banded((1, 1), ab, rhs)
-
-
 def _rk4(u, h, sigma, dt, P1):
     # diffusion excluded here; for sigma=1 it is applied in the Strang halves.
     # P1 is the stage-1 antiderivative, already computed for the step size.
@@ -190,9 +173,12 @@ def step(state: TraceState, cfg: SolverConfig, dt_cap: float | None = None) -> S
 
     Explicit RK4 on the advection/reaction part; for sigma=1 the diffusion
     is wrapped around it as two unconditionally stable Crank-Nicolson half
-    steps (Strang splitting).  Afterwards the spatial mean of a is projected
-    out and Dirichlet values of c re-imposed.  If the state already exceeds
-    the blow-up cap, no step is taken and the blow-up flag is set.
+    steps (Strang splitting), which leave c exactly 0 at both ends.
+    Afterwards the spatial mean of a is projected out.  If the state already
+    exceeds the blow-up cap, no step is taken and the blow-up flag is set.
+
+    Raises NonFiniteState when a sample of the result is not finite: the
+    step ran away.
     """
     cap = cfg.blowup_cap if cfg.blowup_cap is not None else math.inf
     if state.max_a >= cap:
@@ -208,21 +194,24 @@ def step(state: TraceState, cfg: SolverConfig, dt_cap: float | None = None) -> S
         raise TimeStepUnderflow(f"dt={dt:g} below floor {cfg.dt_floor:g} at t={state.t:g}")
 
     if state.sigma == 1:
-        u[1] = _cn_half(u[1], h, 0.5 * dt)
+        u[1] = cn_half(u[1], h, 0.5 * dt)
         P[1] = cumulative(u[1], h)
-    na, nc = _rk4(u, h, state.sigma, dt, P)
+    un = _rk4(u, h, state.sigma, dt, P)
     if state.sigma == 1:
-        nc = _cn_half(nc, h, 0.5 * dt)
+        un[1] = cn_half(un[1], h, 0.5 * dt)
 
+    na = un[0]
     mean_after = definite(na, h)
     drift_rate = (mean_after - state.mean_a) / dt
-
     na -= mean_after  # length of [0,1] is 1, so the integral is the mean
-    if state.sigma == 1:
-        nc[0] = 0.0
-        nc[-1] = 0.0
 
-    new = TraceState(Field(state.grid, na), Field(state.grid, nc), state.sigma, state.t + dt)
+    # the check Field makes, in one pass over the stacked rows
+    if not np.isfinite(un).all():
+        raise NonFiniteState(f"non-finite samples after the step from t={state.t:g} "
+                             f"over dt={dt:g}")
+    g = state.grid
+    new = TraceState(Field._trusted(g, un[0]), Field._trusted(g, un[1]), state.sigma,
+                     state.t + dt)
     return StepResult(new, dt, False, drift_rate)
 
 
@@ -242,7 +231,7 @@ class Trajectory:
     a0: np.ndarray                 # a(t, Z=0)
     aZ0: np.ndarray                # a_Z(t, Z=0), one-sided stencil
     drift_rate: np.ndarray         # pre-projection d(int a)/dt
-    probe_Z: tuple[float, ...]
+    probe_Z: tuple[float, ...]     # heights i/(n-1) of the nodes probed
     probes: np.ndarray             # samples of a at the probe heights
     reason: str                    # blowup | t_max | dt_underflow | max_steps
     final_state: TraceState | None = None
@@ -302,7 +291,13 @@ class Trajectory:
 
 
 def _probe_indices(grid: Grid, probe_Z):
-    return [int(round(z * (grid.n - 1))) for z in probe_Z]
+    """The node nearest each probe height; heights that share a node are
+    rejected, since their columns would repeat one series."""
+    idx = [int(round(z * (grid.n - 1))) for z in probe_Z]
+    if len(set(idx)) < len(idx):
+        raise ValueError(f"probe heights {tuple(probe_Z)} share a node on a grid of "
+                         f"{grid.n} nodes")
+    return idx
 
 
 def run_to_blowup(state0: TraceState, cfg: SolverConfig) -> Trajectory:
@@ -374,7 +369,7 @@ def _run(state0: TraceState, cfg: SolverConfig, t_end):
         a0=np.array(rows["a0"]),
         aZ0=np.array(rows["aZ0"]),
         drift_rate=np.array(rows["drift"]),
-        probe_Z=tuple(cfg.probe_Z),
+        probe_Z=tuple(i / (state0.grid.n - 1) for i in idx),
         probes=probes,
         reason=reason,
         final_state=state,

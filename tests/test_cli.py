@@ -186,6 +186,38 @@ class TestModes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    # a blow-up cap beyond the floats lets the run go on until a step
+    # overflows; the overflow warnings on the way are the point
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("sigma", [0, 1])
+    def test_runaway_physical_step_exits_3(self, tmp_path, capsys, sigma):
+        code = run_cli("simulate", "--out", str(tmp_path / "sim"), "--quiet",
+                       "--set", "init.n=129", "--set", f"init.sigma={sigma}",
+                       "--set", "solver.blowup_cap=1e300", "--set", "solver.dt_floor=1e-300")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "non-finite samples" in err
+
+    @pytest.mark.parametrize("mode, setting, name", [
+        ("simulate", "solver.max_steps=-3", "max_steps"),
+        ("simulate", "solver.max_steps=0", "max_steps"),
+        ("selfsim", "selfsim.s_end=1", "s_end"),
+    ])
+    def test_empty_run_exits_2(self, tmp_path, capsys, mode, setting, name):
+        code = run_cli(mode, "--out", str(tmp_path / "run"), "--quiet",
+                       "--set", "init.n=257", "--set", setting)
+        assert code == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "run" / "trajectory.csv").exists()
+
+    def test_probe_heights_sharing_a_node_exit_2(self, tmp_path, capsys):
+        code = run_cli("simulate", "--out", str(tmp_path / "sim"), "--quiet",
+                       "--set", "init.n=129", "--set", "solver.max_steps=5",
+                       "--set", "solver.probe_z=0.5,0.5001")
+        assert code == 2
+        assert "share a node" in capsys.readouterr().err
+        assert not (tmp_path / "sim" / "trajectory.csv").exists()
+
     @pytest.mark.parametrize("probes", ["-0.25", "0,1.5"])
     def test_probe_height_outside_unit_interval_exits_2(self, tmp_path, capsys, probes):
         code = run_cli("simulate", "--out", str(tmp_path / "sim"), "--quiet",

@@ -3,14 +3,15 @@
 ``cumulative``, ``definite`` and ``d1`` act along the last axis.  A stacked
 call must agree with the one-field kernels applied row by row, and the
 one-field kernels with the written-out reference forms below, on odd and
-even node counts, including grids shorter than 8 nodes.
+even node counts, including grids shorter than 8 nodes.  ``cn_half``, solved
+in the sine basis, must agree with a dense solve of its tridiagonal system.
 """
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from petrace.grid import cumulative, d1, d2, definite
+from petrace.grid import _sine_eigenvalues, cn_half, cumulative, d1, d2, definite
 
 EPS = np.finfo(float).eps
 # d1's stencil weights sum to at most 128 in absolute value, over 12 h; a
@@ -176,3 +177,62 @@ def test_d2_exact_on_cubics(poly):
     exact = np.polyval(second, x)
     tol = D1_ULPS * EPS * (D2_WEIGHT_SUM * _size(coeffs, x) / (h * h) + _size(second, x))
     assert np.all(np.abs(d2(np.polyval(coeffs, x), h) - exact) <= tol)
+
+
+def ref_cn_half(v, h, tau):
+    """Dense solve of the Crank-Nicolson system (I - r D) x = (I + r D) v,
+    r = tau / (2 h^2), with Dirichlet rows x = 0 at both ends and the ends
+    of v taken as 0."""
+    n = v.shape[0]
+    r = tau / (2.0 * h * h)
+    u = v.copy()
+    u[0] = u[-1] = 0.0
+    rhs = np.zeros(n)
+    rhs[1:-1] = u[1:-1] + r * (u[:-2] - 2.0 * u[1:-1] + u[2:])
+    A = np.eye(n)
+    i = np.arange(1, n - 1)
+    A[i, i] = 1.0 + 2.0 * r
+    A[i, i - 1] = A[i, i + 1] = -r
+    return np.linalg.solve(A, rhs)
+
+
+# samples far below the largest are flushed to zero, so that no rounding
+# bound relative to max|v| sits in the subnormal range
+diffusion_samples = values.map(lambda x: x if abs(x) > 1e-100 else 0.0)
+
+
+@st.composite
+def diffusion_inputs(draw):
+    """(v, h, tau, r) on 8 to 200 nodes, r = tau / (2 h^2) log-uniform in
+    [1e-8, 1e6]."""
+    n = draw(st.integers(8, 200))
+    v = draw(arrays(np.float64, n, elements=diffusion_samples))
+    h = draw(spacing)
+    r = 10.0 ** draw(st.floats(-8.0, 6.0))
+    return v, h, 2.0 * r * h * h, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(diffusion_inputs())
+def test_cn_half_matches_dense_solve(inputs):
+    v, h, tau, r = inputs
+    before = v.copy()
+    x = cn_half(v, h, tau)
+    assert np.array_equal(v, before)
+    assert x.shape == v.shape
+    assert x[0] == 0.0 and x[-1] == 0.0
+    tol = 1e-13 * (1.0 + r) * np.max(np.abs(v))
+    assert np.all(np.abs(x - ref_cn_half(v, h, tau)) <= tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(diffusion_inputs())
+def test_cn_half_does_not_amplify(inputs):
+    v, h, tau, _ = inputs
+    assert np.linalg.norm(cn_half(v, h, tau)) <= np.linalg.norm(v) * (1.0 + 1e-13)
+
+
+def test_sine_eigenvalues_are_cached_read_only():
+    e = _sine_eigenvalues(9)
+    assert e is _sine_eigenvalues(9) and not e.flags.writeable
+    assert e[0] == 0.0 and abs(e[-1] - 4.0) <= 4.0 * EPS

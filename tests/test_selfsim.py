@@ -368,6 +368,11 @@ class TestRun:
         assert abs(out._lost_defect) > selfsim._PROJECT_THRESHOLD
         assert out._lost_defect == out.zero_average_defect()
 
+    def test_run_rejects_s_end_before_start(self):
+        st = balanced_state(s0=12.0, c_amp=1e-4)
+        with pytest.raises(ValueError, match="s_end"):
+            run_selfsim(st, SelfsimConfig(s_end=11.5))
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_config_rejects_bad_ds_safety(self, bad):
         with pytest.raises(ValueError, match="ds_safety"):

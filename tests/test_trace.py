@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from petrace.errors import FitDegenerate
+from petrace.errors import FitDegenerate, NonFiniteState
 from petrace.grid import Field, Grid, definite, integral, resample
 from petrace.trace import (
     SolverConfig,
@@ -149,6 +149,15 @@ class TestStep:
         e2 = np.max(np.abs(advance(16) - ref))
         assert e1 / e2 > 3.0
 
+    # a^2 overflows in the first RK stage; the overflow warnings are the point
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("sigma", [0, 1])
+    def test_overflowing_step_raises_non_finite_state(self, sigma):
+        st = profile_state(0.5, 0.25, 129, sigma=sigma, c_amp=0.1)
+        huge = TraceState(Field(st.grid, 1e200 * st.a.values), st.c, sigma)
+        with pytest.raises(NonFiniteState, match="non-finite samples"):
+            step(huge, SolverConfig(dt_floor=1e-300))
+
     def test_mean_projected_every_step(self):
         st = profile_state(0.2, 0.15, 257, c_amp=0.2)
         cfg = SolverConfig(blowup_cap=1e9)
@@ -164,6 +173,27 @@ class TestRuns:
         with pytest.raises(ValueError, match="probe heights"):
             SolverConfig(probe_Z=probes)
         assert SolverConfig(probe_Z=(0.0, 1.0)).probe_Z == (0.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_config_rejects_max_steps_below_one(self, bad):
+        with pytest.raises(ValueError, match="max_steps"):
+            SolverConfig(max_steps=bad)
+
+    def test_probe_heights_sharing_a_node_rejected(self):
+        st = profile_state(0.5, 0.25, 129)
+        with pytest.raises(ValueError, match="share a node"):
+            run_to_time(st, SolverConfig(probe_Z=(0.5, 0.5001)), 0.02)
+
+    def test_probes_named_by_the_node_sampled(self, tmp_path):
+        st = profile_state(0.5, 0.25, 129)
+        # 0.3 * 128 = 38.4 rounds to node 38, at Z = 38/128 = 0.296875
+        traj = run_to_time(st, SolverConfig(probe_Z=(0.0, 0.3, 1.0)), 0.02)
+        assert traj.probe_Z == (0.0, 0.296875, 1.0)
+        assert traj.probes[-1, 1] == traj.final_state.a.values[38]
+        path = tmp_path / "trajectory.csv"
+        traj.to_csv(path)
+        assert path.read_text().splitlines()[0].endswith(",a@0.0,a@0.296875,a@1.0")
+        assert Trajectory.from_csv(path).probe_Z == traj.probe_Z
 
     def test_profile_data_blows_up(self):
         st = profile_state(1e-2, 1.0 / (2 * np.log(1e2)), 513)
