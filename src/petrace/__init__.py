@@ -3,7 +3,7 @@ inviscid primitive-equations trace system with non-constant temperature.
 
 Layout:
 
-- ``grid``        uniform grids, fields, derivatives, integrals, resampling
+- ``grid``        uniform grids, fields, derivatives, integrals, diffusion
 - ``trace``       physical-frame solver on Z in [0, 1] (sigma = 0 or 1)
 - ``selfsim``     dynamic-rescaling frame with modulated scales (lam, nu)
 - ``diagnostics`` weighted energies, closeness/trapped verdicts, Hardy check
@@ -13,7 +13,7 @@ Layout:
 - ``cli``         batch front end (config-file driven)
 """
 
-from .grid import Field, Grid, antiderivative, derivative, integral, resample
+from .grid import Field, Grid, antiderivative, derivative, integral
 from .params import FrameworkParams, Verdict, alpha0, fixed_diffusive_choice, validate_params
 from .trace import SolverConfig, TraceState, Trajectory, run_to_blowup, run_to_time, step, trace_rhs
 from .selfsim import (

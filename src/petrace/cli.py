@@ -22,7 +22,8 @@ from .diagnostics import check_initial_closeness, energy_report
 from .errors import (ConstraintLost, FitDegenerate, NonFiniteState, PetraceError,
                      ScaleFitFailure, TimeStepUnderflow)
 from .fitting import estimate_T, fit_rates
-from .params import FrameworkParams, alpha0, validate_params
+from .params import (FrameworkParams, alpha0, reference_sigma0_params,
+                     reference_sigma1_params, validate_params)
 from .trace import SolverConfig, Trajectory, run_to_blowup
 
 MODES = ("simulate", "selfsim", "validate-params", "alpha0", "energies",
@@ -41,7 +42,6 @@ REGISTRY = {
     "selfsim.s_end": ("f", math.nan),           # nan: s0 + 5
     "selfsim.ds_safety": ("f", 0.25),
     "selfsim.stride": ("i", 1),
-    "params.sigma": ("i", 0),
     "params.alpha": ("f", 2.0),
     "params.gamma": ("f", 2.0),
     "params.k": ("f", 1.5),
@@ -49,8 +49,8 @@ REGISTRY = {
     "params.h_a": ("f", 4.0 / 3.0),
     "params.h_c": ("f", 0.5),
     "params.l": ("f", 1.0),
-    "params.eps_a": ("f", 0.6),
-    "params.eps_c": ("f", 0.75),
+    "params.eps_a": ("f", math.nan),            # nan: the reference value for init.sigma
+    "params.eps_c": ("f", math.nan),            # nan: the reference value for init.sigma
     "params.M": ("f", 2.0),
     "params.N": ("f", 4.0),
     "params.N0": ("f", 3.0),
@@ -131,9 +131,13 @@ def write_resolved(cfg: dict, outdir: Path):
 
 
 def _params_from(cfg) -> FrameworkParams:
-    sigma = cfg["params.sigma"]
+    """The parameter set of the state's sigma, ``init.sigma``."""
+    sigma = cfg["init.sigma"]
+    ref = reference_sigma0_params() if sigma == 0 else reference_sigma1_params()
+    eps_a, eps_c = cfg["params.eps_a"], cfg["params.eps_c"]
     common = dict(sigma=sigma, alpha=cfg["params.alpha"], h_a=cfg["params.h_a"],
-                  eps_a=cfg["params.eps_a"], eps_c=cfg["params.eps_c"],
+                  eps_a=ref.eps_a if math.isnan(eps_a) else eps_a,
+                  eps_c=ref.eps_c if math.isnan(eps_c) else eps_c,
                   M=cfg["params.M"], N=cfg["params.N"], N0=cfg["params.N0"],
                   z_star=cfg["params.z_star"], delta=cfg["params.delta"])
     if sigma == 0:

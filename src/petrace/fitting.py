@@ -71,7 +71,11 @@ def estimate_T(traj, tail_fraction: float = 0.25) -> float:
     return float(T_hat)
 
 
-def _stable_window(x, y, n_chunks=24, drift_tol=0.03):
+_N_CHUNKS = 24       # windows of the rolling slope
+_DRIFT_TOL = 0.03    # largest slope change between neighbouring windows
+
+
+def _stable_window(x, y):
     """Longest contiguous stretch where the local log-log slope is steady.
 
     Used for pointwise exponents: the clean power-law range of a(t, Z) is
@@ -80,14 +84,14 @@ def _stable_window(x, y, n_chunks=24, drift_tol=0.03):
     the full range when nothing qualifies.
     """
     n = len(x)
-    w = max(9, n // n_chunks)
+    w = max(9, n // _N_CHUNKS)
     if n <= w + 1:
         return slice(0, n)
-    starts = np.linspace(0, n - w, min(n_chunks, n - w + 1)).astype(int)
+    starts = np.linspace(0, n - w, min(_N_CHUNKS, n - w + 1)).astype(int)
     slopes = np.array([np.polyfit(x[s:s + w], y[s:s + w], 1)[0] for s in starts])
     best_lo = best_hi = lo = 0
     for i in range(1, len(starts)):
-        if abs(slopes[i] - slopes[i - 1]) > drift_tol:
+        if abs(slopes[i] - slopes[i - 1]) > _DRIFT_TOL:
             lo = i
         if i - lo > best_hi - best_lo:
             best_lo, best_hi = lo, i
@@ -96,13 +100,12 @@ def _stable_window(x, y, n_chunks=24, drift_tol=0.03):
     return slice(starts[best_lo], min(n, starts[best_hi] + w))
 
 
-def fit_rates(traj, T_hat: float, tail_fraction: float = 0.25,
-              pointwise_max_Z: float = 0.5) -> BlowupFit:
+def fit_rates(traj, T_hat: float, tail_fraction: float = 0.25) -> BlowupFit:
     """Log-log rate of max|a|, scale fit for 1/nu, and pointwise exponents.
 
     rate_a and nu_slope are fitted on the same tail used for T estimation;
     pointwise exponents are fitted on a per-height stable-slope window
-    (heights above pointwise_max_Z are skipped).
+    (heights above Z = 0.5 are skipped).
     """
     t = np.asarray(traj.t, dtype=float)
     if T_hat <= t[-1]:
@@ -124,7 +127,7 @@ def fit_rates(traj, T_hat: float, tail_fraction: float = 0.25,
     pointwise = []
     probes = np.asarray(traj.probes, dtype=float)
     for j, Z in enumerate(traj.probe_Z):
-        if Z > pointwise_max_Z + 1e-12:
+        if Z > 0.5 + 1e-12:
             continue
         series = np.abs(probes[:, j])
         good = series > 0.0

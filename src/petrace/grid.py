@@ -2,10 +2,8 @@
 
 Both frames are built on the kernels here: cumulative antiderivative,
 finite-difference derivatives, definite integrals and the Crank-Nicolson
-diffusion half step ``cn_half``, which needs numpy alone.  ``resample``
-(cubic interpolation) compares fields across grids; no solver calls it,
-and it is the one place the package imports scipy.  All operations are
-deterministic: identical inputs produce bit-identical outputs.
+diffusion half step ``cn_half``.  They need numpy alone.  All operations
+are deterministic: identical inputs produce bit-identical outputs.
 
 The antiderivative, definite-integral and first-derivative kernels
 (``cumulative``, ``definite``, ``d1``) act along the last axis of their
@@ -20,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-__all__ = ["Grid", "Field", "antiderivative", "derivative", "integral", "resample"]
+__all__ = ["Grid", "Field", "antiderivative", "derivative", "integral"]
 
 
 @dataclass(frozen=True)
@@ -256,28 +254,3 @@ def derivative(f: Field, order: int = 1) -> Field:
 
 def integral(f: Field) -> float:
     return definite(f.values, f.grid.h)
-
-
-def resample(f: Field, g: Grid) -> tuple[Field, int]:
-    """Sample f on a new grid.
-
-    Cubic interpolation inside f's extent; beyond it the boundary value is
-    held constant and each such node is counted in the returned warning
-    count.  ``scipy.interpolate`` is imported on the first call, so that
-    importing the package does not load it.
-    """
-    from scipy.interpolate import CubicSpline
-
-    if g == f.grid:
-        return Field(g, f.values), 0
-    x = g.nodes
-    below = x < f.grid.lo
-    above = x > f.grid.hi
-    spl = CubicSpline(f.grid.nodes, f.values)
-    vals = spl(np.clip(x, f.grid.lo, f.grid.hi))
-    if below.any():
-        vals[below] = f.values[0]
-    if above.any():
-        vals[above] = f.values[-1]
-    warnings = int(np.count_nonzero(below) + np.count_nonzero(above))
-    return Field(g, vals), warnings

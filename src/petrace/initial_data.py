@@ -124,17 +124,17 @@ def redecompose(lam_t: float, nu_t: float, atil0_at_0: float) -> tuple[float, fl
     return lam_bar, nu_bar
 
 
-def holder_norm(f: Field, beta: float, order: int = 0, max_nodes: int = 600) -> float:
+def holder_norm(f: Field, beta: float, order: int = 0) -> float:
     """Discrete Holder norm estimate.
 
     order=0: sup|f| + the C^{0,beta} difference quotient over node pairs;
     order=1 additionally differentiates once and measures the quotient of
-    the derivative.  Pairs are taken on a uniform subsample capped at
-    max_nodes nodes.
+    the derivative.  Pairs are taken on every max(1, n // 600)-th node,
+    fewer than 1200 nodes.
     """
     if not (0.0 < beta <= 1.0):
         raise ValueError("beta must lie in (0, 1]")
-    stride = max(1, f.grid.n // max_nodes)
+    stride = max(1, f.grid.n // 600)
     x = f.grid.nodes[::stride]
     if order == 0:
         vals = f.values[::stride]

@@ -56,6 +56,7 @@ _ORTH_TOL_VALUE = 1e-10
 _ORTH_TOL_SLOPE = 1e-8
 _INT_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
+_DS_FLOOR = 1e-12   # the smallest step the driver takes
 
 
 def phi(z):
@@ -556,9 +557,10 @@ class SelfsimConfig:
     stride: int = 1
     params: object | None = None   # FrameworkParams for energy/trapped columns
     max_steps: int = 2_000_000
-    ds_floor: float = 1e-12
 
     def __post_init__(self):
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be at least 1, got {self.max_steps!r}")
         if not (math.isfinite(self.ds_safety) and self.ds_safety > 0.0):
             raise ValueError(f"ds_safety must be positive and finite, got {self.ds_safety!r}")
         if self.stride < 1:
@@ -646,7 +648,7 @@ def run_selfsim(st0: SelfSimilarState, cfg: SelfsimConfig) -> SelfsimTrajectory:
     reason = "s_end"
     while st.s < cfg.s_end:
         remaining = cfg.s_end - st.s
-        if remaining < max(cfg.ds_floor, 1e-14 * cfg.s_end):
+        if remaining < max(_DS_FLOOR, 1e-14 * cfg.s_end):
             break  # within round-off of the landing time
         if k >= cfg.max_steps:
             reason = "max_steps"
@@ -654,7 +656,7 @@ def run_selfsim(st0: SelfSimilarState, cfg: SelfsimConfig) -> SelfsimTrajectory:
                 record(st)  # the trajectory ends where the run stopped
             break
         ds = min(stable_ds(st, cfg.ds_safety), remaining)
-        if ds < cfg.ds_floor:
+        if ds < _DS_FLOOR:
             raise TimeStepUnderflow(f"ds={ds:g} below floor at s={st.s:g}")
         st = step_selfsim(st, ds)
         if st._lost_defect is not None:

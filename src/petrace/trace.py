@@ -75,7 +75,6 @@ class SolverConfig:
     dt_safety: float = 0.5
     blowup_cap: float | None = None   # None: resolved to 1e6 * max|a0| at run start
     dt_floor: float = 1e-15
-    dt_max: float = 1.0
     t_max: float = math.inf
     max_steps: int = 5_000_000
     probe_Z: tuple[float, ...] = (0.0, 0.25, 0.5)
@@ -154,13 +153,13 @@ def _rk4(u, h, sigma, dt, P1):
 
 
 def stable_dt(state: TraceState, cfg: SolverConfig, A: np.ndarray) -> float:
-    """Advective/reactive step size: dt_safety * min(h / max|D^-1 a|, 1 / max|a|).
+    """Advective/reactive step size: dt_safety * min(1, h / max|D^-1 a|, 1 / max|a|).
 
     A is D^-1 a, ``cumulative(state.a.values, h)``, which the step's first
     RK stage needs as well."""
     amax = state.max_a
     Amax = float(np.max(np.abs(A)))
-    dt = cfg.dt_max
+    dt = 1.0
     if Amax > 0.0:
         dt = min(dt, state.grid.h / Amax)
     if amax > 0.0:
@@ -302,50 +301,42 @@ def _probe_indices(grid: Grid, probe_Z):
 
 def run_to_blowup(state0: TraceState, cfg: SolverConfig) -> Trajectory:
     """Step until max|a| reaches the blow-up cap (or another stop reason)."""
-    cfg = replace(cfg)
     if cfg.blowup_cap is None:
-        cfg.blowup_cap = 1e6 * max(state0.a.max_abs(), 1e-300)
-    return _run(state0, cfg, t_end=None)
+        cfg = replace(cfg, blowup_cap=1e6 * max(state0.a.max_abs(), 1e-300))
+    return _run(state0, cfg)
 
 
 def run_to_time(state0: TraceState, cfg: SolverConfig, t_end: float) -> Trajectory:
     """Step until physical time t_end, landing on it exactly."""
-    cfg = replace(cfg)
-    if cfg.blowup_cap is None:
-        cfg.blowup_cap = math.inf
-    return _run(state0, cfg, t_end=t_end)
+    return _run(state0, replace(cfg, t_max=min(cfg.t_max, t_end)))
 
 
-def _run(state0: TraceState, cfg: SolverConfig, t_end):
-    rows = {k: [] for k in ("t", "max_a", "max_c", "mean_a", "dt", "a0", "aZ0", "drift", "probes")}
+def _run(state0: TraceState, cfg: SolverConfig) -> Trajectory:
+    """Step until a stop reason, landing on t_max exactly; one row of
+    diagnostics per state (t, max|a|, max|c|, mean of a, dt, a(t,0),
+    a_Z(t,0), drift rate, then a at each probe node)."""
     idx = _probe_indices(state0.grid, cfg.probe_Z)
     h = state0.grid.h
+    limit = cfg.t_max
+    rows = []
 
     def record(st: TraceState, dt_used: float, drift: float):
-        rows["t"].append(st.t)
-        rows["max_a"].append(st.max_a)
-        rows["max_c"].append(st.c.max_abs())
-        rows["mean_a"].append(st.mean_a)
-        rows["dt"].append(dt_used)
-        rows["a0"].append(st.a.values[0])
-        rows["aZ0"].append(d1_at_lo(st.a.values, h))
-        rows["drift"].append(drift)
-        rows["probes"].append([st.a.values[i] for i in idx])
+        va = st.a.values
+        rows.append((st.t, st.max_a, st.c.max_abs(), st.mean_a, dt_used, va[0],
+                     d1_at_lo(va, h), drift, *va[idx]))
 
     state = state0
     record(state, 0.0, 0.0)
-    reason = "max_steps"
-    limit = min(cfg.t_max, t_end) if t_end is not None else cfg.t_max
-    for _ in range(cfg.max_steps):
-        if state.t >= limit:
+    for k in range(cfg.max_steps + 1):
+        # also true at or past the limit; an infinite limit never lands
+        if limit - state.t < max(cfg.dt_floor, 1e-15 * limit):
             reason = "t_max"
             break
-        if math.isfinite(limit) and limit - state.t < max(cfg.dt_floor, 1e-15 * limit):
-            reason = "t_max"  # within round-off of the landing time
+        if k == cfg.max_steps:
+            reason = "max_steps"
             break
-        cap_dt = limit - state.t if math.isfinite(limit) else None
         try:
-            res = step(state, cfg, dt_cap=cap_dt)
+            res = step(state, cfg, dt_cap=limit - state.t)
         except TimeStepUnderflow:
             reason = "dt_underflow"
             break
@@ -354,23 +345,11 @@ def _run(state0: TraceState, cfg: SolverConfig, t_end):
             break
         state = res.state
         record(state, res.dt, res.mean_drift_rate)
-    else:
-        reason = "max_steps"
-    if reason == "max_steps" and state.t >= limit:
-        reason = "t_max"
 
-    probes = np.array(rows["probes"]) if rows["probes"] else np.empty((0, len(idx)))
+    arr = np.array(rows)
     return Trajectory(
-        t=np.array(rows["t"]),
-        max_a=np.array(rows["max_a"]),
-        max_c=np.array(rows["max_c"]),
-        mean_a=np.array(rows["mean_a"]),
-        dt=np.array(rows["dt"]),
-        a0=np.array(rows["a0"]),
-        aZ0=np.array(rows["aZ0"]),
-        drift_rate=np.array(rows["drift"]),
-        probe_Z=tuple(i / (state0.grid.n - 1) for i in idx),
-        probes=probes,
-        reason=reason,
-        final_state=state,
+        t=arr[:, 0], max_a=arr[:, 1], max_c=arr[:, 2], mean_a=arr[:, 3], dt=arr[:, 4],
+        a0=arr[:, 5], aZ0=arr[:, 6], drift_rate=arr[:, 7],
+        probe_Z=tuple(i / (state0.grid.n - 1) for i in idx), probes=arr[:, 8:],
+        reason=reason, final_state=state,
     )

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from petrace import cli, errors, initial_data
 from petrace.cli import load_config, main
 from petrace.fitting import estimate_T, fit_rates
-from petrace.params import alpha0
+from petrace.params import alpha0, reference_sigma0_params, reference_sigma1_params
 from petrace.trace import run_to_blowup
 
 
@@ -28,15 +28,25 @@ class TestConfig:
         assert cfg["init.lambda0"] == 5e-3
         assert cfg["solver.n"] == 513
 
-    # solver.upwind and solver.store_stride were removed, so a resolved.config
-    # written before then is rejected rather than silently half-read
+    # solver.upwind, solver.store_stride and params.sigma were removed, so a
+    # resolved.config written before then is rejected rather than silently
+    # half-read
     @pytest.mark.parametrize("line", ["solver.nn = 3", "solver.upwind = false",
-                                      "solver.store_stride = 0"],
+                                      "solver.store_stride = 0", "params.sigma = 0"],
                              ids=lambda line: line.split(" =")[0])
     def test_unknown_key_rejected(self, tmp_path, line):
         cfg_file = tmp_path / "bad.config"
         cfg_file.write_text(line + "\n")
         assert run_cli("alpha0", "--config", str(cfg_file)) == 2
+
+    def test_eps_defaults_follow_init_sigma(self):
+        # one sigma key: the parameter set is the state's, and eps_a, eps_c
+        # default to that sigma's reference values
+        for sigma, ref in ((0, reference_sigma0_params()), (1, reference_sigma1_params())):
+            p = cli._params_from(load_config(None, [f"init.sigma={sigma}"]))
+            assert (p.sigma, p.eps_a, p.eps_c) == (sigma, ref.eps_a, ref.eps_c)
+        p = cli._params_from(load_config(None, ["init.sigma=1", "params.eps_c=0.95"]))
+        assert (p.eps_a, p.eps_c) == (0.75, 0.95)
 
     def test_bad_value_rejected(self):
         assert run_cli("alpha0", "--set", "solver.n=abc") == 2
@@ -61,6 +71,19 @@ class TestModes:
         code = run_cli("validate-params", "--set", "params.alpha=1.5",
                        "--out", str(out), "--quiet")
         assert code == 2
+
+    def test_validate_params_sigma1_defaults_pass(self, tmp_path):
+        out = tmp_path / "v1"
+        assert run_cli("validate-params", "--set", "init.sigma=1",
+                       "--out", str(out), "--quiet") == 0
+        rows = json.loads((out / "verdict.json").read_text())
+        assert "k/2 + 1/(2 eta0) < eps_c (strict)" in [r["condition"] for r in rows]
+        assert all(r["pass"] for r in rows)
+
+    @pytest.mark.parametrize("mode", ["selfsim", "energies"])
+    def test_sigma1_state_runs_with_default_params(self, tmp_path, mode):
+        assert run_cli(mode, "--out", str(tmp_path / mode), "--quiet",
+                       "--set", "init.sigma=1", "--set", "init.n=513") == 0
 
     def test_redecompose_prints_json(self, capsys):
         assert run_cli("redecompose", "--set", "redecompose.lam=0.01",
@@ -251,6 +274,14 @@ class TestModes:
                        "--set", "init.n=129", "--set", "selfsim.s_end=12.2")
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_sweep_over_sigma_in_energies_mode(self, tmp_path):
+        out = tmp_path / "sw"
+        assert run_cli("sweep", "--out", str(out), "--quiet",
+                       "--set", "sweep.param=init.sigma", "--set", "sweep.values=0,1",
+                       "--set", "sweep.mode=energies", "--set", "init.n=513") == 0
+        for i in range(2):
+            assert (out / f"sweep_{i:03d}" / "energies.csv").exists()
 
     def test_sweep_mode(self, tmp_path):
         out = tmp_path / "sw"

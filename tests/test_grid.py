@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from petrace.grid import Field, Grid, antiderivative, derivative, integral, resample
+from petrace.grid import Field, Grid, antiderivative, derivative, integral
 
 
 def make(lo, hi, n, fn):
@@ -123,42 +123,6 @@ class TestIntegral:
             g = Grid(0.0, 2.0, n)
             f = Field(g, rng.standard_normal(n))
             assert integral(f) == antiderivative(f).values[-1]
-
-
-class TestResample:
-    def test_identity_grid(self):
-        f = make(0.0, 1.0, 65, lambda z: np.cos(3 * z))
-        out, warn = resample(f, f.grid)
-        assert warn == 0
-        assert np.array_equal(out.values, f.values)
-
-    def test_quadratic_to_fine_grid(self):
-        f = make(0.0, 1.0, 65, lambda z: z**2)
-        fine = Grid(0.0, 1.0, 129)
-        out, warn = resample(f, fine)
-        assert warn == 0
-        # cubic interpolation reproduces quadratics to round-off
-        assert np.max(np.abs(out.values - fine.nodes**2)) <= 1e-12
-
-    def test_smooth_function_order(self):
-        errs = []
-        for n in (65, 129):
-            f = make(0.0, 1.0, n, lambda z: np.sin(2 * z))
-            fine = Grid(0.0, 1.0, 2 * n - 1)
-            out, _ = resample(f, fine)
-            errs.append(np.max(np.abs(out.values - np.sin(2 * fine.nodes))))
-        h = 1.0 / 64
-        assert errs[0] <= h**4
-        assert errs[1] <= errs[0] / 8.0
-
-    def test_constant_extrapolation_with_warning(self):
-        f = make(0.0, 1.0, 65, lambda z: 1.0 - z)  # f(hi) = 0
-        wide = Grid(0.0, 1.5, 97)
-        out, warn = resample(f, wide)
-        outside = wide.nodes > 1.0
-        assert warn == int(np.count_nonzero(outside))
-        assert warn > 0
-        assert np.all(out.values[outside] == 0.0)
 
 
 class TestProperties:

@@ -5,7 +5,7 @@ import pytest
 
 from petrace import selfsim
 from petrace.errors import ConstraintLost, DegenerateTrace, NonFiniteState, ScaleFitFailure
-from petrace.grid import Field, Grid, antiderivative, cumulative, d1_at_lo, definite, resample
+from petrace.grid import Field, Grid, antiderivative, cumulative, d1_at_lo, definite
 from petrace.selfsim import (
     _secant_nu,
     ModulationRates,
@@ -155,11 +155,20 @@ class TestReconstruct:
 
     def test_state_representation_error_is_h4(self):
         # decompose against an analytic field, then evaluate the stored
-        # perturbation off its own nodes: spline-level accuracy
+        # perturbation on its nodes and at its cell midpoints: cubic accuracy
         lam_s, nu_s = 0.05, 0.15
 
         def analytic(Z):
             return np.exp(-Z / nu_s) / lam_s * (1.0 + 0.05 * (Z / nu_s) ** 2 * np.exp(-Z / nu_s))
+
+        def midpoints(v):
+            """The 4-point cubic interpolant of v at each cell midpoint,
+            one-sided in the two end cells."""
+            m = np.empty(len(v) - 1)
+            m[1:-1] = (-v[:-3] + 9.0 * v[1:-2] + 9.0 * v[2:-1] - v[3:]) / 16.0
+            m[0] = (5.0 * v[0] + 15.0 * v[1] - 5.0 * v[2] + v[3]) / 16.0
+            m[-1] = (5.0 * v[-1] + 15.0 * v[-2] - 5.0 * v[-3] + v[-4]) / 16.0
+            return m
 
         errs = []
         for n in (513, 1025):
@@ -167,8 +176,10 @@ class TestReconstruct:
             a = Field(g, analytic(g.nodes))
             st = decompose(a, Field(g, np.zeros(n)), 0, s0=3.0)
             fine = Grid(0.0, st.grid.hi, 2 * n - 1)
-            atil_fine, _ = resample(st.atil, fine)
-            a_fine = (np.exp(-fine.nodes) + atil_fine.values) / st.lam
+            atil_fine = np.empty(fine.n)
+            atil_fine[::2] = st.atil.values
+            atil_fine[1::2] = midpoints(st.atil.values)
+            a_fine = (np.exp(-fine.nodes) + atil_fine) / st.lam
             errs.append(np.max(np.abs(a_fine - analytic(st.nu * fine.nodes))) * lam_s)
         assert errs[1] <= errs[0] / 3.0
 
@@ -252,9 +263,10 @@ class TestPerturbationRhs:
         for n, st in sts.items():
             da, _ = perturbation_rhs(st, modulation_rates(st))
             das[n] = da
-        mid, _ = resample(das[4097], das[2049].grid)
-        fine, _ = resample(das[8193], das[2049].grid)
-        richardson = fine.values + (fine.values - mid.values) / 3.0
+        # the 2049-node grid is every 2nd node of 4097 and every 4th of 8193
+        mid = das[4097].values[::2]
+        fine = das[8193].values[::4]
+        richardson = fine + (fine - mid) / 3.0
         assert np.max(np.abs(das[2049].values - richardson)) <= 1e-5
 
 
@@ -383,6 +395,11 @@ class TestRun:
     def test_config_rejects_stride_below_one(self, bad):
         with pytest.raises(ValueError, match="stride"):
             SelfsimConfig(s_end=13.0, stride=bad)
+
+    @pytest.mark.parametrize("bad", [0, -4])
+    def test_config_rejects_max_steps_below_one(self, bad):
+        with pytest.raises(ValueError, match="max_steps"):
+            SelfsimConfig(s_end=13.0, max_steps=bad)
 
     def test_short_run_records_monotone_s(self):
         st = balanced_state(s0=12.0, c_amp=1e-4)
