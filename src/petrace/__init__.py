@@ -38,7 +38,7 @@ from .diagnostics import (
     hardy_check,
     vanishing_exponent,
 )
-from .initial_data import InitialDataSpec, build_profile_data, holder_norm, redecompose
+from .initial_data import InitialDataSpec, build_profile_data, redecompose
 from .fitting import BlowupFit, estimate_T, fit_rates, temperature_rates
 
 __version__ = "0.1.0"

@@ -102,15 +102,18 @@ def _format_value(v):
 def load_config(path: str | None, overrides: list[str]) -> dict:
     cfg = {k: v for k, (_, v) in REGISTRY.items()}
     pairs = []
-    if path:
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = stripped.split("=", 1)
-            pairs.append((key.strip(), raw))
+    try:
+        text = Path(path).read_text() if path else ""
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = stripped.split("=", 1)
+        pairs.append((key.strip(), raw))
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set needs key=value, got {item!r}")
@@ -149,7 +152,7 @@ def _params_from(cfg) -> FrameworkParams:
 def _spec_from(cfg) -> initial_data.InitialDataSpec:
     lam0 = cfg["init.lambda0"]
     nu0 = cfg["init.nu0"]
-    if math.isnan(nu0):
+    if math.isnan(nu0) and 0.0 < lam0 < 1.0:  # else the spec rejects lam0
         nu0 = 1.0 / (2.0 * math.log(1.0 / lam0))
     return initial_data.InitialDataSpec(
         lambda0=lam0, nu0=nu0, sigma=cfg["init.sigma"], kappa=cfg["init.kappa"],
@@ -255,7 +258,10 @@ def _mode_energies(cfg, outdir, quiet):
 
 def _mode_fit(cfg, outdir, quiet):
     src = cfg["fit.trajectory"] or str(outdir / "trajectory.csv")
-    traj = Trajectory.from_csv(src)
+    try:
+        traj = Trajectory.from_csv(src)
+    except OSError as exc:
+        raise ConfigError(f"cannot read trajectory {src}: {exc.strerror}") from exc
     T_hat = estimate_T(traj, cfg["fit.tail_fraction"])
     fit = fit_rates(traj, T_hat, cfg["fit.tail_fraction"])
     (outdir / "fit.json").write_text(_json(fit.to_json(), indent=2) + "\n")

@@ -109,8 +109,7 @@ def energy_report(st: SelfSimilarState, p: FrameworkParams) -> EnergyReport:
 # verdicts
 # ---------------------------------------------------------------------------
 
-def check_initial_closeness(st: SelfSimilarState, p: FrameworkParams,
-                            extras: dict | None = None) -> Verdict:
+def check_initial_closeness(st: SelfSimilarState, p: FrameworkParams) -> Verdict:
     """Initial-closeness verdict at s = s0.
 
     Checks the scale normalization lam0 = s0 exp(-s0) and the nu0 window,
@@ -149,11 +148,6 @@ def check_initial_closeness(st: SelfSimilarState, p: FrameworkParams,
         bt = 0.25 * math.exp(-eta * p.l * s0)
         tpow = rep.T_k_eta ** (2 * eta)
         v.add("T^(2 eta0) < (1/4) exp(-eta0 l s0)", tpow, bt, tpow < bt, "T")
-
-    if extras:
-        if "kappa_norm" in extras and "kappa" in extras:
-            v.add("Holder norms <= kappa", extras["kappa_norm"], extras["kappa"],
-                  extras["kappa_norm"] <= extras["kappa"], "kappa")
     return v
 
 

@@ -2,8 +2,9 @@
 
 Both frames are built on the kernels here: cumulative antiderivative,
 finite-difference derivatives, definite integrals and the Crank-Nicolson
-diffusion half step ``cn_half``.  They need numpy alone.  All operations
-are deterministic: identical inputs produce bit-identical outputs.
+diffusion half step ``cn_half``, which steps with the one second-derivative
+operator ``d2`` applies.  They need numpy alone.  All operations are
+deterministic: identical inputs produce bit-identical outputs.
 
 The antiderivative, definite-integral and first-derivative kernels
 (``cumulative``, ``definite``, ``d1``) act along the last axis of their
@@ -185,12 +186,10 @@ def d1_at_lo(v: np.ndarray, h: float) -> float:
 
 
 def d2(v: np.ndarray, h: float) -> np.ndarray:
-    """Second derivative: 3-point central interior, 4-point one-sided at the endpoints."""
-    out = np.empty_like(v)
-    h2 = h * h
-    out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h2
-    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
-    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
+    """Second derivative D v / h^2, D the 3-point second difference with
+    Dirichlet ends (end rows exactly 0): the operator ``cn_half`` steps with."""
+    out = np.zeros_like(v)
+    out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / (h * h)
     return out
 
 
@@ -244,12 +243,8 @@ def antiderivative(f: Field) -> Field:
     return Field(f.grid, cumulative(f.values, f.grid.h))
 
 
-def derivative(f: Field, order: int = 1) -> Field:
-    if order == 1:
-        return Field(f.grid, d1(f.values, f.grid.h))
-    if order == 2:
-        return Field(f.grid, d2(f.values, f.grid.h))
-    raise ValueError(f"order must be 1 or 2, got {order}")
+def derivative(f: Field) -> Field:
+    return Field(f.grid, d1(f.values, f.grid.h))
 
 
 def integral(f: Field) -> float:

@@ -8,11 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTrace, InfeasibleBalance
-from .grid import Field, Grid, d1, definite
+from .grid import Field, Grid, definite
 from .selfsim import phi, psi, s_from_lambda
 from .trace import TraceState
 
-__all__ = ["InitialDataSpec", "build_profile_data", "redecompose", "holder_norm"]
+__all__ = ["InitialDataSpec", "build_profile_data", "redecompose"]
 
 FAMILIES = ("none", "tail_balance", "polynomial_bump")
 
@@ -42,8 +42,8 @@ class InitialDataSpec:
             raise ValueError(f"nu0={self.nu0:g} outside the admissible window [{lo:g}, {hi:g}]")
         if self.sigma not in (0, 1):
             raise ValueError("sigma must be 0 or 1")
-        if self.kappa < 0.0:
-            raise ValueError("kappa must be non-negative")
+        if not self.kappa >= 0.0:
+            raise ValueError(f"kappa must be non-negative, got {self.kappa!r}")
         if self.perturbation_family not in FAMILIES:
             raise ValueError(f"unknown family {self.perturbation_family!r}")
 
@@ -123,30 +123,3 @@ def redecompose(lam_t: float, nu_t: float, atil0_at_0: float) -> tuple[float, fl
     nu_bar = (lam_t / lam_bar) * nu_t
     return lam_bar, nu_bar
 
-
-def holder_norm(f: Field, beta: float, order: int = 0) -> float:
-    """Discrete Holder norm estimate.
-
-    order=0: sup|f| + the C^{0,beta} difference quotient over node pairs;
-    order=1 additionally differentiates once and measures the quotient of
-    the derivative.  Pairs are taken on every max(1, n // 600)-th node,
-    fewer than 1200 nodes.
-    """
-    if not (0.0 < beta <= 1.0):
-        raise ValueError("beta must lie in (0, 1]")
-    stride = max(1, f.grid.n // 600)
-    x = f.grid.nodes[::stride]
-    if order == 0:
-        vals = f.values[::stride]
-        base = float(np.max(np.abs(f.values)))
-    elif order == 1:
-        dv = d1(f.values, f.grid.h)
-        vals = dv[::stride]
-        base = float(np.max(np.abs(f.values)) + np.max(np.abs(dv)))
-    else:
-        raise ValueError("order must be 0 or 1")
-    dx = np.abs(x[:, None] - x[None, :])
-    dfv = np.abs(vals[:, None] - vals[None, :])
-    mask = dx > 0.0
-    quotient = float(np.max(dfv[mask] / dx[mask] ** beta))
-    return base + quotient

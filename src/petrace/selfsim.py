@@ -261,30 +261,23 @@ def _with_ctil(sg: _Stage, vc, lam, nu, sigma) -> _Stage:
     return sg._replace(P1=P1, dlam=dlam, dnu=dnu)
 
 
-def _field_rhs(y, sg: _Stage, lam, nu, sigma, fixed_z=False):
-    """Time derivative of the stacked (atil, ctil), given their stage sg.
-
-    By default: at fixed xi = nu z and without the sigma=1 diffusion, as
-    the stepper integrates it (it applies the diffusion by Crank-Nicolson).
-    The transport speed there, -D^-1(phi + atil), vanishes at both ends of
-    the domain (at z = 1/nu by the zero-average constraint), so no boundary
-    condition is needed.  ``fixed_z`` gives the full derivative at fixed z:
-    domain-stretch transport dnu z d/dz and diffusion included.
+def _field_rhs(y, sg: _Stage, lam, nu, sigma):
+    """Time derivative of the stacked (atil, ctil), given their stage sg, at
+    fixed xi = nu z and without the sigma=1 diffusion, as the stepper
+    integrates it (it applies the diffusion by Crank-Nicolson).  The
+    transport speed there, -D^-1(phi + atil), vanishes at both ends of the
+    domain (at z = 1/nu by the zero-average constraint), so no boundary
+    condition is needed.
     """
     z, h, ph, dlam, dnu = sg.z, sg.h, sg.ph, sg.dlam, sg.dnu
     q = lam if sigma == 0 else 1.0
-    transport = sg.em1 - sg.P0
-    if fixed_z:
-        transport += dnu * z
-    rhs = transport * d1(y, h)
+    rhs = (sg.em1 - sg.P0) * d1(y, h)
     va, vc = y
     # the constant source 2 nu I2 - q nu^2 Cint is dlam + 1
     rhs[0] += (va * (dlam + 2.0 * ph + va) + ph * (sg.P0 - dnu * z)
                + (dlam + 1.0) * (ph - 1.0) - q * nu * sg.P1)
     rhs[1] += vc * ((2.0 * dlam if sigma == 1 else dlam) + 2.0 * (va + ph))
     if sigma == 1:
-        if fixed_z:
-            rhs[1] += (lam / (nu * nu)) * d2(vc, h)
         rhs[1, 0] = rhs[1, -1] = 0.0
     return rhs
 
@@ -306,7 +299,12 @@ def perturbation_rhs(st: SelfSimilarState, rates: ModulationRates) -> tuple[Fiel
     dlam = sg.dlam
     if abs(dlam - rates.dlog_lambda) > 1e-12 * max(1.0, abs(dlam)):
         raise ValueError("rates inconsistent with the state")
-    rhs = _field_rhs(st._rows, sg, st.lam, st.nu, st.sigma, fixed_z=True)
+    y = st._rows
+    # at fixed z the domain stretch transports too, and sigma=1 ctil diffuses
+    rhs = _field_rhs(y, sg, st.lam, st.nu, st.sigma) + (sg.dnu * sg.z) * d1(y, sg.h)
+    if st.sigma == 1:
+        rhs[1] += (st.lam / (st.nu * st.nu)) * d2(y[1], sg.h)
+        rhs[1, 0] = rhs[1, -1] = 0.0  # the stretch moved ctil's Dirichlet ends
     g = st.grid
     return Field(g, rhs[0]), Field(g, rhs[1])
 
@@ -559,6 +557,8 @@ class SelfsimConfig:
     max_steps: int = 2_000_000
 
     def __post_init__(self):
+        if math.isnan(self.s_end):
+            raise ValueError("s_end must not be nan")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be at least 1, got {self.max_steps!r}")
         if not (math.isfinite(self.ds_safety) and self.ds_safety > 0.0):

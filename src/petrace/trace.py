@@ -84,8 +84,10 @@ class SolverConfig:
             raise ValueError("dt_safety must lie in (0, 1]")
         if self.blowup_cap is not None and self.blowup_cap <= 0:
             raise ValueError("blowup_cap must be positive")
-        if self.dt_floor <= 0:
-            raise ValueError("dt_floor must be positive")
+        if not self.dt_floor > 0:
+            raise ValueError(f"dt_floor must be positive, got {self.dt_floor!r}")
+        if math.isnan(self.t_max):
+            raise ValueError("t_max must not be nan")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be at least 1, got {self.max_steps!r}")
         if not all(0.0 <= z <= 1.0 for z in self.probe_Z):
@@ -104,8 +106,9 @@ class StepResult:
 # right-hand side
 # ---------------------------------------------------------------------------
 
-def _rhs(u, h, sigma, diffusion=True, P=None):
-    """Time derivative of the stacked state u = (a, c), shape (2, n).
+def _rhs(u, h, sigma, P=None):
+    """Time derivative of the stacked state u = (a, c), shape (2, n), but
+    for the sigma=1 diffusion, which the stepper applies by Crank-Nicolson.
 
     P, if given, is ``cumulative(u, h)``: the running integrals (A, C)."""
     if P is None:
@@ -124,8 +127,6 @@ def _rhs(u, h, sigma, diffusion=True, P=None):
     k[0] -= K
     k[1] += 2.0 * va * vc
     if sigma == 1:
-        if diffusion:
-            k[1] += d2(vc, h)
         k[1, 0] = 0.0
         k[1, -1] = 0.0
     return k
@@ -135,6 +136,8 @@ def trace_rhs(state: TraceState) -> tuple[Field, Field]:
     """Instantaneous time derivative (da, dc) of the trace system."""
     u = np.stack((state.a.values, state.c.values))
     da, dc = _rhs(u, state.grid.h, state.sigma)
+    if state.sigma == 1:
+        dc += d2(u[1], state.grid.h)
     return Field(state.grid, da), Field(state.grid, dc)
 
 
@@ -143,12 +146,11 @@ def trace_rhs(state: TraceState) -> tuple[Field, Field]:
 # ---------------------------------------------------------------------------
 
 def _rk4(u, h, sigma, dt, P1):
-    # diffusion excluded here; for sigma=1 it is applied in the Strang halves.
     # P1 is the stage-1 antiderivative, already computed for the step size.
-    k1 = _rhs(u, h, sigma, diffusion=False, P=P1)
-    k2 = _rhs(u + 0.5 * dt * k1, h, sigma, diffusion=False)
-    k3 = _rhs(u + 0.5 * dt * k2, h, sigma, diffusion=False)
-    k4 = _rhs(u + dt * k3, h, sigma, diffusion=False)
+    k1 = _rhs(u, h, sigma, P=P1)
+    k2 = _rhs(u + 0.5 * dt * k1, h, sigma)
+    k3 = _rhs(u + 0.5 * dt * k2, h, sigma)
+    k4 = _rhs(u + dt * k3, h, sigma)
     return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

@@ -51,6 +51,10 @@ class TestConfig:
     def test_bad_value_rejected(self):
         assert run_cli("alpha0", "--set", "solver.n=abc") == 2
 
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        assert run_cli("alpha0", "--config", str(tmp_path / "missing.cfg")) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
     def test_unknown_mode_rejected(self):
         assert run_cli("explode") == 2
 
@@ -181,6 +185,10 @@ class TestModes:
         assert run_cli("fit", "--out", str(out), "--quiet") == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_fit_without_trajectory_exits_2(self, tmp_path, capsys):
+        assert run_cli("fit", "--out", str(tmp_path / "empty"), "--quiet") == 2
+        assert "cannot read trajectory" in capsys.readouterr().err
+
     def test_energies_mode(self, tmp_path):
         out = tmp_path / "e"
         code = run_cli("energies", "--out", str(out), "--quiet",
@@ -232,6 +240,26 @@ class TestModes:
         assert code == 2
         assert name in capsys.readouterr().err
         assert not (tmp_path / "run" / "trajectory.csv").exists()
+
+    # 0 and 1 are where the default nu0 = 1/(2 log(1/lambda0)) is undefined
+    @pytest.mark.parametrize("lam0", ["0", "1"])
+    @pytest.mark.parametrize("mode", ["simulate", "selfsim"])
+    def test_lambda0_outside_its_window_exits_2(self, tmp_path, capsys, mode, lam0):
+        code = run_cli(mode, "--out", str(tmp_path / "run"), "--quiet",
+                       "--set", "init.n=129", "--set", f"init.lambda0={lam0}")
+        assert code == 2
+        assert "lambda0 must lie in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting, name", [
+        ("solver.dt_floor=nan", "dt_floor"),
+        ("solver.t_max=nan", "t_max"),
+    ])
+    def test_nan_solver_setting_exits_2(self, tmp_path, capsys, setting, name):
+        code = run_cli("simulate", "--out", str(tmp_path / "sim"), "--quiet",
+                       "--set", "init.n=129", "--set", "solver.t_max=1e-4", "--set", setting)
+        assert code == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "sim" / "trajectory.csv").exists()
 
     def test_probe_heights_sharing_a_node_exit_2(self, tmp_path, capsys):
         code = run_cli("simulate", "--out", str(tmp_path / "sim"), "--quiet",
@@ -360,6 +388,12 @@ class TestSweep:
                        "--set", "sweep.param=init.lambda0",
                        "--set", "sweep.values=1e-2,abc", *SWEEP_SIMULATE) == 2
         assert not list(out.glob("sweep_*"))
+
+    def test_lambda0_outside_its_window_exits_2(self, tmp_path, capsys):
+        assert run_cli("sweep", "--out", str(tmp_path / "lam"), "--quiet",
+                       "--set", "sweep.param=init.lambda0",
+                       "--set", "sweep.values=0,1", *SWEEP_SIMULATE) == 2
+        assert "lambda0 must lie in" in capsys.readouterr().err
 
     def test_errors_survive_pickling(self):
         # a sub-run's error travels back from its worker process pickled

@@ -133,14 +133,6 @@ class TestInitialCloseness:
         v = check_initial_closeness(st, tight)
         assert v.failed_lines() == ["nu0-range"]
 
-    def test_extras_kappa_line(self):
-        st = deep_state(0)
-        p = deep_params(0)
-        good = check_initial_closeness(st, p, extras={"kappa_norm": 0.5, "kappa": 1.0})
-        assert good.line("kappa")
-        bad = check_initial_closeness(st, p, extras={"kappa_norm": 2.0, "kappa": 1.0})
-        assert bad.failed_lines() == ["kappa"]
-
     def test_scaled_perturbation_fails_interior_energy(self):
         # add a mean-free interior bump sized to push Ia2 to twice its bound
         st = deep_state(0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from petrace.grid import Field, Grid, antiderivative, derivative, integral
+from petrace.grid import Field, Grid, antiderivative, d2, derivative, integral
 
 
 def make(lo, hi, n, fn):
@@ -74,29 +74,23 @@ class TestAntiderivative:
 class TestDerivative:
     def test_quadratic_exact(self):
         f = make(0.0, 1.0, 33, lambda z: z**2)
-        d = derivative(f, 1)
+        d = derivative(f)
         assert np.max(np.abs(d.values - 2 * f.grid.nodes)) <= 1e-12
 
     def test_constant_derivative_zero(self):
         f = make(0.0, 2.0, 17, lambda z: np.full_like(z, 3.25))
-        assert derivative(f, 1).max_abs() == 0.0
-        assert derivative(f, 2).max_abs() == 0.0
+        assert derivative(f).max_abs() == 0.0
 
     def test_second_derivative_sine(self):
         errs = []
         for n in (65, 129):
             f = make(0.0, 1.0, n, lambda z: np.sin(np.pi * z))
-            d2f = derivative(f, 2)
+            d2f = d2(f.values, f.grid.h)
             exact = -np.pi**2 * np.sin(np.pi * f.grid.nodes)
-            errs.append(np.max(np.abs(d2f.values - exact)))
+            errs.append(np.max(np.abs(d2f - exact)))
         h = 1.0 / 64
         assert errs[0] <= 10.0 * h**2
         assert errs[1] <= errs[0] / 3.5
-
-    def test_invalid_order(self):
-        f = make(0.0, 1.0, 16, lambda z: z)
-        with pytest.raises(ValueError):
-            derivative(f, 3)
 
 
 class TestIntegral:
@@ -134,7 +128,7 @@ class TestProperties:
         for _ in range(20):
             coeffs = rng.uniform(-2, 2, size=6)
             f = Field(g, np.polyval(coeffs, z))
-            back = derivative(antiderivative(f), 1)
+            back = derivative(antiderivative(f))
             scale = max(1.0, f.max_abs())
             assert np.max(np.abs(back.values - f.values)) <= 50.0 * g.h**2 * scale
 
@@ -143,5 +137,5 @@ class TestProperties:
         g = Grid(0.0, 3.0, 193)
         f = Field(g, rng.standard_normal(g.n))
         assert np.array_equal(antiderivative(f).values, antiderivative(f).values)
-        assert np.array_equal(derivative(f, 1).values, derivative(f, 1).values)
+        assert np.array_equal(derivative(f).values, derivative(f).values)
         assert integral(f) == integral(f)

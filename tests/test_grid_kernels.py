@@ -4,7 +4,8 @@
 call must agree with the one-field kernels applied row by row, and the
 one-field kernels with the written-out reference forms below, on odd and
 even node counts, including grids shorter than 8 nodes.  ``cn_half``, solved
-in the sine basis, must agree with a dense solve of its tridiagonal system.
+in the sine basis, must agree with a dense solve of its tridiagonal system
+and step with the operator ``d2`` applies.
 """
 import numpy as np
 from hypothesis import given, settings
@@ -19,8 +20,8 @@ EPS = np.finfo(float).eps
 # that sum and no more.
 D1_ULPS = 16.0
 D1_WEIGHT_SUM = 128.0
-# d2's one-sided edge stencil has the largest absolute weight sum, 12, over h^2
-D2_WEIGHT_SUM = 12.0
+# d2's interior stencil (1, -2, 1) has absolute weight sum 4, over h^2
+D2_WEIGHT_SUM = 4.0
 
 
 def ref_cumulative(v, h):
@@ -176,7 +177,9 @@ def test_d2_exact_on_cubics(poly):
     second = np.polyder(coeffs, 2)
     exact = np.polyval(second, x)
     tol = D1_ULPS * EPS * (D2_WEIGHT_SUM * _size(coeffs, x) / (h * h) + _size(second, x))
-    assert np.all(np.abs(d2(np.polyval(coeffs, x), h) - exact) <= tol)
+    d = d2(np.polyval(coeffs, x), h)
+    assert d[0] == 0.0 and d[-1] == 0.0
+    assert np.all(np.abs(d[1:-1] - exact[1:-1]) <= tol)
 
 
 def ref_cn_half(v, h, tau):
@@ -202,10 +205,10 @@ diffusion_samples = values.map(lambda x: x if abs(x) > 1e-100 else 0.0)
 
 
 @st.composite
-def diffusion_inputs(draw):
-    """(v, h, tau, r) on 8 to 200 nodes, r = tau / (2 h^2) log-uniform in
+def diffusion_inputs(draw, max_n=200):
+    """(v, h, tau, r) on 8 to max_n nodes, r = tau / (2 h^2) log-uniform in
     [1e-8, 1e6]."""
-    n = draw(st.integers(8, 200))
+    n = draw(st.integers(8, max_n))
     v = draw(arrays(np.float64, n, elements=diffusion_samples))
     h = draw(spacing)
     r = 10.0 ** draw(st.floats(-8.0, 6.0))
@@ -230,6 +233,18 @@ def test_cn_half_matches_dense_solve(inputs):
 def test_cn_half_does_not_amplify(inputs):
     v, h, tau, _ = inputs
     assert np.linalg.norm(cn_half(v, h, tau)) <= np.linalg.norm(v) * (1.0 + 1e-13)
+
+
+@settings(max_examples=100, deadline=None)
+@given(diffusion_inputs(max_n=2049))
+def test_cn_half_inverts_d2(inputs):
+    # on samples with zero ends, x = cn_half(v) solves
+    # x - (tau/2) d2(x) = v + (tau/2) d2(v) at every node, end rows included
+    v, h, tau, r = inputs
+    v[0] = v[-1] = 0.0
+    x = cn_half(v, h, tau)
+    residual = (x - 0.5 * tau * d2(x, h)) - (v + 0.5 * tau * d2(v, h))
+    assert np.all(np.abs(residual) <= 1e-13 * (1.0 + r) * np.max(np.abs(v)))
 
 
 def test_sine_eigenvalues_are_cached_read_only():

@@ -6,7 +6,7 @@ import pytest
 from petrace.diagnostics import check_initial_closeness, vanishing_exponent
 from petrace.errors import DegenerateTrace, InfeasibleBalance
 from petrace.grid import Field, Grid, definite
-from petrace.initial_data import InitialDataSpec, build_profile_data, holder_norm, redecompose
+from petrace.initial_data import InitialDataSpec, build_profile_data, redecompose
 from petrace.params import reference_sigma0_params
 from petrace.selfsim import decompose, psi
 
@@ -28,6 +28,11 @@ class TestSpecInvariants:
     def test_lambda0_range(self):
         with pytest.raises(ValueError):
             InitialDataSpec(lambda0=0.5, nu0=0.5, sigma=0)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_kappa_rejected_unless_non_negative(self, bad):
+        with pytest.raises(ValueError, match="kappa"):
+            spec_for(kappa=bad, perturbation_family="tail_balance")
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -85,7 +90,7 @@ class TestBuild:
         from petrace.grid import derivative
 
         # fit close to the origin, below the bump turnover
-        expo = vanishing_exponent(derivative(ss.ctil, 1), 0.15)
+        expo = vanishing_exponent(derivative(ss.ctil), 0.15)
         assert expo >= 0.75 - 0.1
 
     def test_desk_scale_closeness_characterization(self):
@@ -129,17 +134,3 @@ class TestRedecompose:
             assert abs(st.lam - lam_bar) <= 1e-8 * lam_bar
             assert abs(st.nu - nu_bar) <= 1e-8 * nu_bar
 
-
-class TestHolderNorm:
-    def test_linear_function(self):
-        g = Grid(0.0, 1.0, 513)
-        f = Field(g, g.nodes)
-        # sup|f| = 1, C^{0,1/2} quotient = max dx^{1/2} = 1
-        assert abs(holder_norm(f, 0.5, order=0) - 2.0) <= 1e-9
-
-    def test_order_one_includes_derivative(self):
-        g = Grid(0.0, 1.0, 513)
-        f = Field(g, g.nodes**2)
-        val = holder_norm(f, 0.5, order=1)
-        # sup|f| = 1, sup|f'| = 2, quotient of f' = 2 dx^{1/2} -> 2
-        assert abs(val - 5.0) <= 1e-6

@@ -39,8 +39,8 @@ class TestVanishingSpeedInvariance:
     def test_temperature_slope_exponent_preserved(self, sigma0_run):
         # fit below the bump turnover, where the z->0 power law is visible
         st, p, traj = sigma0_run
-        start = vanishing_exponent(derivative(st.ctil, 1), 0.3)
-        end = vanishing_exponent(derivative(traj.final_state.ctil, 1), 0.3)
+        start = vanishing_exponent(derivative(st.ctil), 0.3)
+        end = vanishing_exponent(derivative(traj.final_state.ctil), 0.3)
         assert start >= p.eps_c
         assert end >= p.eps_c - 0.1
 

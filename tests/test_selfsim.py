@@ -6,6 +6,7 @@ import pytest
 from petrace import selfsim
 from petrace.errors import ConstraintLost, DegenerateTrace, NonFiniteState, ScaleFitFailure
 from petrace.grid import Field, Grid, antiderivative, cumulative, d1_at_lo, definite
+from petrace.initial_data import InitialDataSpec, build_profile_data
 from petrace.selfsim import (
     _secant_nu,
     ModulationRates,
@@ -24,6 +25,7 @@ from petrace.selfsim import (
     stable_ds,
     step_selfsim,
 )
+from petrace.trace import trace_rhs
 
 
 from helpers import balanced_state, bare_profile_state
@@ -246,6 +248,19 @@ class TestPerturbationRhs:
         with pytest.raises(ValueError):
             perturbation_rhs(st, bad)
 
+    def test_sigma1_temperature_rate_vanishes_at_both_ends_in_both_frames(self):
+        # c and ctil are held at 0 on the boundary, so their rates are exactly
+        # 0 there, whatever the diffusion and the domain stretch add inside
+        spec = InitialDataSpec(lambda0=1e-3, nu0=1.0 / (2.0 * math.log(1e3)), sigma=1,
+                               kappa=0.3, perturbation_family="tail_balance")
+        state = build_profile_data(spec, 513)
+        _, dc = trace_rhs(state)
+        ss = decompose(state.a, state.c, 1, spec.s0)
+        _, dctil = perturbation_rhs(ss, modulation_rates(ss))
+        for rate in (dc.values, dctil.values):
+            assert rate[0] == 0.0 and rate[-1] == 0.0
+            assert rate[1] != 0.0 and rate[-2] != 0.0
+
     def test_generic_state_vs_refined_oracle(self):
         # Richardson on grid refinement: RHS converges at >= 2nd order, so
         # the doubled-and-redoubled grids bound the truth to ~1e-5
@@ -400,6 +415,10 @@ class TestRun:
     def test_config_rejects_max_steps_below_one(self, bad):
         with pytest.raises(ValueError, match="max_steps"):
             SelfsimConfig(s_end=13.0, max_steps=bad)
+
+    def test_config_rejects_nan_s_end(self):
+        with pytest.raises(ValueError, match="s_end"):
+            SelfsimConfig(s_end=math.nan)
 
     def test_short_run_records_monotone_s(self):
         st = balanced_state(s0=12.0, c_amp=1e-4)

@@ -179,6 +179,12 @@ class TestRuns:
         with pytest.raises(ValueError, match="max_steps"):
             SolverConfig(max_steps=bad)
 
+    @pytest.mark.parametrize("field, bad", [("dt_floor", 0.0), ("dt_floor", -1e-15),
+                                            ("dt_floor", math.nan), ("t_max", math.nan)])
+    def test_config_rejects_bad_dt_floor_and_nan_t_max(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: bad})
+
     def test_probe_heights_sharing_a_node_rejected(self):
         st = profile_state(0.5, 0.25, 129)
         with pytest.raises(ValueError, match="share a node"):
