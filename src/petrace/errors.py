@@ -6,10 +6,12 @@ class PetraceError(Exception):
 
 
 class TimeStepUnderflow(PetraceError):
-    """Stable time step fell below the configured floor.
+    """Stable time step fell below its floor.
 
-    Signals imminent blow-up or exhausted spatial resolution; runs treat it
-    as a normal termination reason.
+    Signals imminent blow-up or exhausted spatial resolution.  The physical
+    frame's runs (run_to_blowup, run_to_time) stop on it with the reason
+    "dt_underflow"; the rescaled frame's run_selfsim raises it, and the CLI
+    then exits 3.
     """
 
 
@@ -50,17 +52,16 @@ class ConstraintLost(PetraceError):
 
 
 class ScaleFitFailure(PetraceError):
-    """The secant fit of the spatial scale nu left a discrete z=0 slope above
-    the vanishing tolerance; ``residual`` is the best slope reached, at
-    ``nu``."""
+    """No spatial scale nu pins the perturbation: the discrete z=0 slope
+    condition has a root only when ``beta`` = -12 d1_at_lo(u[:5], 1), u the
+    lam-scaled amplitude, lies in (0, 25), and a finite one only above ~1e-308."""
 
-    def __init__(self, residual: float, nu: float):
-        super().__init__(f"spatial-scale fit did not converge: best z=0 slope "
-                         f"{residual:.3g} at nu={nu:.6g}")
-        self.residual = residual
-        self.nu = nu
+    def __init__(self, beta: float):
+        super().__init__(f"no spatial scale pins the perturbation: beta={beta:.6g}, "
+                         f"where a finite scale needs 0 < beta < 25")
+        self.beta = beta
 
     def __reduce__(self):
-        # rebuild from the attributes, so the error survives pickling (a
+        # rebuild from the attribute, so the error survives pickling (a
         # sweep sub-run raises it in a worker process)
-        return type(self), (self.residual, self.nu)
+        return type(self), (self.beta,)

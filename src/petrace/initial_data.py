@@ -115,10 +115,17 @@ def redecompose(lam_t: float, nu_t: float, atil0_at_0: float) -> tuple[float, fl
     its slope vanish at Z = 0:
 
         lam_bar = (1/lam~ + atil~(0))^-1,   nu_bar = (lam~/lam_bar) nu~.
+
+    Raises ValueError unless lam~ and nu~ are positive and all three are
+    finite, and DegenerateTrace unless 1/lam~ + atil~(0) is positive and
+    finite.
     """
+    if not (0.0 < lam_t < math.inf and 0.0 < nu_t < math.inf and math.isfinite(atil0_at_0)):
+        raise ValueError(f"redecompose needs finite lam > 0, nu > 0 and atil(0), got "
+                         f"lam={lam_t!r}, nu={nu_t!r}, atil(0)={atil0_at_0!r}")
     denom = 1.0 / lam_t + atil0_at_0
-    if denom <= 0.0:
-        raise DegenerateTrace("1/lam + atil(0) must be positive")
+    if not 0.0 < denom < math.inf:
+        raise DegenerateTrace("1/lam + atil(0) must be positive and finite")
     lam_bar = 1.0 / denom
     nu_bar = (lam_t / lam_bar) * nu_t
     return lam_bar, nu_bar

@@ -313,32 +313,6 @@ def perturbation_rhs(st: SelfSimilarState, rates: ModulationRates) -> tuple[Fiel
 # pinning the scales: decomposition, reconstruction, re-orthogonalization
 # ---------------------------------------------------------------------------
 
-def _secant_nu(G, nu_guess: float) -> float:
-    """Secant iteration for the spatial scale: drive the discrete slope of
-    the re-pinned perturbation at z = 0 to zero.
-
-    Raises ScaleFitFailure when the best residual misses the vanishing-slope
-    tolerance a state is validated against.
-    """
-    x0, x1 = nu_guess, nu_guess * (1.0 + 1e-6)
-    f0, f1 = G(x0), G(x1)
-    best_x, best_f = (x0, f0) if abs(f0) < abs(f1) else (x1, f1)
-    for _ in range(30):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not (x2 > 0.0) or not math.isfinite(x2):
-            break
-        x0, f0, x1, f1 = x1, f1, x2, G(x2)
-        if abs(f1) < abs(best_f):
-            best_x, best_f = x1, f1
-        if abs(f1) <= 1e-13 or abs(x1 - x0) <= 1e-16 * x1:
-            break
-    if not abs(best_f) <= _ORTH_TOL_SLOPE:
-        raise ScaleFitFailure(best_f, best_x)
-    return best_x
-
-
 _PROJECT_THRESHOLD = 1e-6
 
 
@@ -359,21 +333,42 @@ def _project_zero_average(atil, z, h, ez):
     return None
 
 
-def _pin(u, nu_guess):
+def _pinned_nu(head, n: int) -> float:
+    """The spatial scale nu at which the discrete slope d1_at_lo of
+    head - exp(-z), on the nodes z_k = k h with h = (1/nu)/(n-1), vanishes;
+    head is the first five samples of the lam-scaled amplitude.
+
+    The stencil is exact on quartics, so that slope is (q(w) - beta)/(12 h)
+    with w = 1 - exp(-h), q(w) = 12w + 6w^2 + 4w^3 + 3w^4 and
+    beta = -12 d1_at_lo(head, 1).  q rises and is convex for w >= 0 and maps
+    (0, 1) onto (0, 25), so a scale exists exactly when 0 < beta < 25.
+    Newton's method from w = beta/12, where q >= beta, descends to the root
+    monotonically; it stops at the first iterate that does not decrease.
+    Raises ScaleFitFailure when beta leaves (0, 25) or nu is not finite.
+    """
+    beta = -12.0 * d1_at_lo(head, 1.0)
+    if not 0.0 < beta < 25.0:
+        raise ScaleFitFailure(beta)
+    w = beta / 12.0
+    while True:
+        q = (((3.0 * w + 4.0) * w + 6.0) * w + 12.0) * w
+        nxt = w - (q - beta) / (12.0 * (((w + 1.0) * w + 1.0) * w + 1.0))
+        if not nxt < w:
+            break
+        w = nxt
+    nu = -1.0 / (math.log1p(-w) * (n - 1)) if w > 0.0 else math.inf
+    if not nu < math.inf:
+        raise ScaleFitFailure(beta)
+    return nu
+
+
+def _pin(u):
     """Turn the lam-scaled amplitude u (samples on the lattice xi), in place,
     into the perturbation about the profile at the spatial scale whose
     nodes xi/nu make its discrete slope at z = 0 vanish.  Returns (nu, grid,
     the defect the projection left, or None)."""
-    n = u.shape[0]
-    head = u[:5]
-    k = np.arange(5.0)
-
-    def G(nu_bar):
-        hz = (1.0 / nu_bar) / (n - 1)
-        return d1_at_lo(head - np.exp(-hz * k), hz)
-
-    nu = _secant_nu(G, nu_guess)
-    g = Grid(0.0, 1.0 / nu, n)
+    nu = _pinned_nu(u[:5], u.shape[0])
+    g = Grid(0.0, 1.0 / nu, u.shape[0])
     z = g.nodes
     ez = np.exp(-z)
     u -= ez
@@ -384,12 +379,11 @@ def _pin(u, nu_guess):
 def decompose(a: Field, c: Field, sigma: int, s0: float) -> SelfSimilarState:
     """Split physical trace fields into profile, perturbation and scales.
 
-    lam = 1/a(0) and nu is fixed (up to a one-dimensional refinement against
-    the discrete slope stencil) by a_Z(0) = -1/(lam nu), so that the
-    perturbation and its slope vanish at z = 0.  The physical nodes on
-    [0, 1] are the lattice xi, so atil and ctil are the scaled physical
-    samples node for node.  The zero-average defect is projected out along
-    the tail bump.
+    lam = 1/a(0), and nu is the scale at which the perturbation's discrete
+    slope at z = 0 vanishes, the discrete form of a_Z(0) = -1/(lam nu).
+    The physical nodes on [0, 1] are the lattice xi, so atil and ctil are
+    the scaled physical samples node for node.  The zero-average defect is
+    projected out along the tail bump.
     """
     g = a.grid
     if c.grid != g or not _on_domain(g, 1.0):
@@ -401,7 +395,7 @@ def decompose(a: Field, c: Field, sigma: int, s0: float) -> SelfSimilarState:
         raise DegenerateTrace(f"a(0)={a0:g}, a_Z(0)={d0:g}: profile matching impossible")
     lam = 1.0 / a0
     atil = lam * va
-    nu, gz, _ = _pin(atil, -1.0 / (lam * d0))
+    nu, gz, _ = _pin(atil)
     ctil = lam ** (1 + sigma) * c.values
     if sigma == 1:
         ctil[-1] = 0.0
@@ -417,7 +411,7 @@ def reconstruct(st: SelfSimilarState) -> tuple[Field, Field]:
     return Field(g, a), Field(g, c)
 
 
-def _reorthogonalize(va, vc, z, h, lam, nu, sigma):
+def _reorthogonalize(va, vc, z, lam, sigma):
     """Re-pin the scales so the perturbation and its discrete slope vanish
     at z = 0 exactly.  The fields sit on the nodes z = xi/nu; the new nodes
     xi/nu_bar carry the same physical samples, so the map is nodal.
@@ -426,14 +420,11 @@ def _reorthogonalize(va, vc, z, h, lam, nu, sigma):
     one_plus = 1.0 + float(va[0])
     if one_plus <= 0.0:
         raise DegenerateTrace("perturbation reached -1 at the origin")
-    d0 = d1_at_lo(va, h)
-    if d0 >= 1.0:
-        raise DegenerateTrace("perturbation slope reached 1 at the origin")
     ratio = 1.0 / one_plus
     y = np.empty((2, va.shape[0]))
     np.add(np.exp(-z), va, out=y[0])
     y[0] *= ratio
-    nu_bar, g, lost = _pin(y[0], nu * one_plus / (1.0 - d0))
+    nu_bar, g, lost = _pin(y[0])
     np.multiply(vc, ratio ** (1 + sigma), out=y[1])
     y[1, 0] = 0.0
     if sigma == 1:
@@ -453,8 +444,7 @@ def build_state(atil: Field, ctil: Field, lam: float, nu: float, s: float,
     g = atil.grid
     if ctil.grid != g or not _on_domain(g, 1.0 / nu):
         raise ValueError("build_state needs atil and ctil on one grid on [0, 1/nu]")
-    y, lam2, nu2, gnew, _ = _reorthogonalize(
-        atil.values, ctil.values, g.nodes, g.h, lam, nu, sigma)
+    y, lam2, nu2, gnew, _ = _reorthogonalize(atil.values, ctil.values, g.nodes, lam, sigma)
     return SelfSimilarState(Field(gnew, y[0]), Field(gnew, y[1]), lam2, nu2, s, sigma, t)
 
 
@@ -535,7 +525,7 @@ def step_selfsim(st: SelfSimilarState, ds: float) -> SelfSimilarState:
     if sigma == 1:
         y[1] = cn_half(y[1], h, 0.5 * ds * lam / (nu * nu))
 
-    y, lam, nu, g, lost = _reorthogonalize(y[0], y[1], xi / nu, h, lam, nu, sigma)
+    y, lam, nu, g, lost = _reorthogonalize(y[0], y[1], xi / nu, lam, sigma)
     # the checks SelfSimilarState makes, in one pass over the stacked rows
     if not np.isfinite(y).all():
         raise NonFiniteState(f"non-finite samples after the step from s={st.s:g} "

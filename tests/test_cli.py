@@ -19,6 +19,11 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# a start no spatial scale pins: on 8 nodes the profile falls off inside
+# the first cell
+UNPINNABLE = ("--set", "init.n=8", "--set", "init.lambda0=1e-6")
+
+
 class TestConfig:
     def test_defaults_and_overrides(self, tmp_path):
         cfg_file = tmp_path / "run.config"
@@ -96,6 +101,14 @@ class TestModes:
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert abs(payload["lam_bar"] - 1.0 / 101.0) < 1e-15
         assert abs(payload["nu_bar"] - 0.101) < 1e-15
+
+    @pytest.mark.parametrize("key,value", [("lam", "nan"), ("nu", "nan"), ("atil0", "nan"),
+                                           ("nu", "-1"), ("lam", "0"), ("atil0", "inf")])
+    def test_redecompose_rejects_bad_scales(self, capsys, key, value):
+        assert run_cli("redecompose", "--set", f"redecompose.{key}={value}") == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "redecompose needs finite lam > 0, nu > 0 and atil(0)" in out.err
 
     def test_file_modes_require_out(self):
         assert run_cli("simulate") == 2
@@ -291,17 +304,15 @@ class TestModes:
         assert code == 2
         assert "ds_safety" in capsys.readouterr().err
 
-    def test_scale_fit_failure_exits_3(self, tmp_path, monkeypatch, capsys):
-        # the secant runs as usual, on a residual that has no root
-        from petrace import selfsim
-
-        secant = selfsim._secant_nu
-        monkeypatch.setattr(selfsim, "_secant_nu",
-                            lambda G, nu_guess: secant(lambda nu: 1.0 + nu * nu, nu_guess))
-        code = run_cli("selfsim", "--out", str(tmp_path / "ss"), "--quiet",
-                       "--set", "init.n=129", "--set", "selfsim.s_end=12.2")
+    def test_scale_fit_failure_exits_3(self, tmp_path, capsys):
+        code = run_cli("selfsim", "--out", str(tmp_path / "ss"), "--quiet", *UNPINNABLE)
         assert code == 3
-        assert "numerical failure" in capsys.readouterr().err
+        assert "numerical failure: no spatial scale pins" in capsys.readouterr().err
+
+    def test_scale_fit_failure_in_energies_exits_3(self, tmp_path, capsys):
+        code = run_cli("energies", "--out", str(tmp_path / "en"), "--quiet", *UNPINNABLE)
+        assert code == 3
+        assert "numerical failure: no spatial scale pins" in capsys.readouterr().err
 
     def test_sweep_over_sigma_in_energies_mode(self, tmp_path):
         out = tmp_path / "sw"
@@ -368,19 +379,13 @@ class TestSweep:
             lam_bar, nu_bar = redecompose(0.01, 0.1, atil0)
             assert json.loads(line) == {"lam_bar": lam_bar, "nu_bar": nu_bar}
 
-    def test_failing_sub_run_exits_3(self, tmp_path, monkeypatch, capsys):
-        # as in test_scale_fit_failure_exits_3: the secant has no root
-        from petrace import selfsim
-
-        secant = selfsim._secant_nu
-        monkeypatch.setattr(selfsim, "_secant_nu",
-                            lambda G, nu_guess: secant(lambda nu: 1.0 + nu * nu, nu_guess))
+    def test_failing_sub_run_exits_3(self, tmp_path, capsys):
+        # as in test_scale_fit_failure_exits_3: no spatial scale pins either start
         code = run_cli("sweep", "--out", str(tmp_path / "ss"), "--quiet",
-                       "--set", "sweep.mode=selfsim", "--set", "sweep.param=init.seed",
-                       "--set", "sweep.values=0,1", "--set", "init.n=129",
-                       "--set", "selfsim.s_end=12.2")
+                       "--set", "sweep.mode=selfsim", "--set", "sweep.param=init.lambda0",
+                       "--set", "sweep.values=1e-6,1e-9", "--set", "init.n=8")
         assert code == 3
-        assert "numerical failure" in capsys.readouterr().err
+        assert "numerical failure: no spatial scale pins" in capsys.readouterr().err
 
     def test_unparsable_value_exits_2_before_any_sub_run(self, tmp_path):
         out = tmp_path / "bad"
@@ -397,7 +402,7 @@ class TestSweep:
 
     def test_errors_survive_pickling(self):
         # a sub-run's error travels back from its worker process pickled
-        made = {errors.ScaleFitFailure: (0.25, 0.0625)}
+        made = {errors.ScaleFitFailure: (25.5,)}
         classes = [c for c in vars(errors).values()
                    if isinstance(c, type) and issubclass(c, errors.PetraceError)]
         assert {errors.ScaleFitFailure, errors.NonFiniteState, errors.ConstraintLost} <= set(classes)

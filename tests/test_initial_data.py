@@ -116,6 +116,16 @@ class TestRedecompose:
     def test_degenerate(self):
         with pytest.raises(DegenerateTrace):
             redecompose(0.01, 0.1, -101.0)
+        with pytest.raises(DegenerateTrace):
+            redecompose(1e-320, 0.1, 0.0)  # 1/lam overflows
+
+    @pytest.mark.parametrize("lam,nu,atil0", [
+        (math.nan, 0.1, 0.0), (0.01, math.nan, 0.0), (0.01, 0.1, math.nan),
+        (0.01, -1.0, 0.0), (-0.01, 0.1, 0.0), (0.0, 0.1, 0.0), (0.01, 0.0, 0.0),
+        (math.inf, 0.1, 1.0), (0.01, math.inf, 0.0), (0.01, 0.1, math.inf)])
+    def test_rejects_bad_scales(self, lam, nu, atil0):
+        with pytest.raises(ValueError, match="redecompose needs"):
+            redecompose(lam, nu, atil0)
 
     def test_agrees_with_decompose(self):
         rng = np.random.default_rng(8)

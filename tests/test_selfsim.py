@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from petrace import selfsim
-from petrace.errors import ConstraintLost, DegenerateTrace, NonFiniteState, ScaleFitFailure
+from petrace.errors import ConstraintLost, DegenerateTrace, NonFiniteState
 from petrace.grid import Field, Grid, antiderivative, cumulative, d1_at_lo, definite
 from petrace.initial_data import InitialDataSpec, build_profile_data
 from petrace.selfsim import (
-    _secant_nu,
     ModulationRates,
     SelfsimConfig,
     SelfSimilarState,
@@ -101,16 +100,6 @@ class TestDecompose:
             decompose(Field(wide, a.values), Field(wide, zero.values), 0, s0=1.0)
         with pytest.raises(ValueError):
             decompose(a, Field(Grid(0.0, 1.0, 257), np.zeros(257)), 0, s0=1.0)
-
-
-class TestScaleFit:
-    def test_secant_without_root_raises_with_residual(self):
-        with pytest.raises(ScaleFitFailure) as info:
-            _secant_nu(lambda nu: 1.0 + nu * nu, 0.1)
-        assert info.value.residual >= 1.0
-
-    def test_secant_converges_on_a_root(self):
-        assert abs(_secant_nu(lambda nu: nu - 0.25, 0.1) - 0.25) <= 1e-15
 
 
 class TestBuildState:

@@ -5,6 +5,11 @@ The rescaled nodes z = xi/nu of a state are the physical nodes xi on
 scales move samples node for node.  These tests check that on odd and even
 node counts.
 
+The re-pinning solves the discrete z = 0 slope condition for nu exactly.
+The tests check that it recovers the scale of a sampled exponential, that
+it zeroes the slope of any five-sample head that has a root, and that a
+head without one raises ScaleFitFailure carrying beta.
+
 A state computes its first RK stage once, on first use, and stable_ds,
 modulation_rates and step_selfsim share it.  The tests below check that
 sharing it changes no bit: against a fresh evaluation, with and without a
@@ -24,6 +29,7 @@ from petrace.selfsim import (
     SelfsimConfig,
     SelfsimTrajectory,
     SelfSimilarState,
+    _pinned_nu,
     _scale_rates,
     _with_ctil,
     build_state,
@@ -116,6 +122,74 @@ def test_frame_round_trip_returns_to_the_physical_grid(n, sigma):
 
 
 # ---------------------------------------------------------------------------
+# pinning the spatial scale: the z = 0 slope condition solved exactly
+# ---------------------------------------------------------------------------
+
+def head_with_beta(beta, rest):
+    """Five samples (u0, *rest) whose beta = -12 d1_at_lo(head, 1), the sum
+    25 u0 - 48 u1 + 36 u2 - 16 u3 + 3 u4, is beta up to rounding."""
+    u1, u2, u3, u4 = rest
+    return np.array([(beta + 48.0 * u1 - 36.0 * u2 + 16.0 * u3 - 3.0 * u4) / 25.0, *rest])
+
+
+def beta_of(head):
+    return -12.0 * d1_at_lo(head, 1.0)
+
+
+head_tails = st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4)
+pin_node_counts = st.integers(8, 4097)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=pin_node_counts, h=st.floats(1e-4, 1.0))
+def test_pin_recovers_the_scale_of_an_exponential(n, h):
+    nu = 1.0 / (h * (n - 1))
+    u = np.exp(-np.linspace(0.0, 1.0, n)[:5] / nu)
+    assert abs(_pinned_nu(u, n) / nu - 1.0) <= 1e-14 / h
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=pin_node_counts, beta=st.floats(1e-3, 25.0, exclude_max=True), rest=head_tails)
+def test_pin_zeroes_the_slope_of_any_head_with_a_root(n, beta, rest):
+    head = head_with_beta(beta, rest)
+    assume(1e-3 <= beta_of(head) < 25.0)
+    nu = _pinned_nu(head, n)
+    assert math.isfinite(nu) and nu > 0.0
+    g = Grid(0.0, 1.0 / nu, n)
+    assert abs(d1_at_lo(head - np.exp(-g.nodes[:5]), g.h)) <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=pin_node_counts, beta=st.floats(-50.0, 0.0) | st.floats(25.0, 100.0), rest=head_tails)
+def test_pin_without_a_root_raises_with_beta(n, beta, rest):
+    head = head_with_beta(beta, rest)
+    b = beta_of(head)
+    assume(not 0.0 < b < 25.0)
+    with pytest.raises(ScaleFitFailure) as info:
+        _pinned_nu(head, n)
+    assert info.value.beta == b
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_pin_of_a_nan_head_raises(k):
+    head = np.exp(-0.01 * np.arange(5.0))
+    head[k] = math.nan
+    with pytest.raises(ScaleFitFailure) as info:
+        _pinned_nu(head, 9)
+    assert math.isnan(info.value.beta)
+
+
+@pytest.mark.parametrize("u0", [4e-311, 5e-324])
+def test_pin_raises_when_the_scale_overflows(u0):
+    # 0 < beta < 25, but its root w is so small that nu = 1/(h (n-1)) is
+    # not a finite float
+    head = np.array([u0, 0.0, 0.0, 0.0, 0.0])
+    assert 0.0 < beta_of(head) < 1e-308
+    with pytest.raises(ScaleFitFailure):
+        _pinned_nu(head, 9)
+
+
+# ---------------------------------------------------------------------------
 # the first RK stage is computed once per state and shared
 # ---------------------------------------------------------------------------
 
@@ -126,8 +200,8 @@ temperature_amps = st.just(0.0) | st.floats(1e-6, 1e-2)
 @st.composite
 def balanced_states(draw):
     """Profile-adapted state on the zero-average constraint manifold (see
-    helpers.balanced_state); the coarsest grids at some epochs admit no
-    spatial-scale fit, and those draws are rejected."""
+    helpers.balanced_state); on the coarsest grids at some epochs no
+    spatial scale pins the start, and those draws are rejected."""
     n, sigma, s0, c_amp = draw(node_counts), draw(sigmas), draw(epochs), draw(temperature_amps)
     try:
         return balanced_state(s0=s0, n=n, sigma=sigma, c_amp=c_amp)
