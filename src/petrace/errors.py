@@ -8,10 +8,9 @@ class PetraceError(Exception):
 class TimeStepUnderflow(PetraceError):
     """Stable time step fell below its floor.
 
-    Signals imminent blow-up or exhausted spatial resolution.  The physical
-    frame's runs (run_to_blowup, run_to_time) stop on it with the reason
-    "dt_underflow"; the rescaled frame's run_selfsim raises it, and the CLI
-    then exits 3.
+    Signals imminent blow-up or exhausted spatial resolution.  The runs of
+    both frames (run_to_blowup, run_to_time, run_selfsim) raise it, and the
+    CLI then exits 3.
     """
 
 

@@ -17,7 +17,8 @@ the physical Z nodes on [0, 1]; at scale nu the nodes are z = xi/nu, those
 of Grid(0, 1/nu, n).  Evolving at fixed xi takes the domain stretch out of
 the transport, and every map between the frames or between successive
 scales (decompose, reconstruct, the re-pinning after each step) sends node
-to node, so none of them interpolates.
+to node, so none of them interpolates.  decompose, build_state and
+step_selfsim make their states by one re-pinning path, _repin.
 """
 from __future__ import annotations
 
@@ -105,9 +106,11 @@ def _on_domain(g: Grid, hi: float) -> bool:
 
 
 def _check_pinned(va, vc, h, lam, nu, sigma):
-    """The conditions every state meets: positive scales, atil and its
-    discrete slope vanishing at z = 0, and ctil vanishing on the boundary
-    (at z = 0, and for sigma=1 also at z = 1/nu)."""
+    """The conditions every state meets: sigma 0 or 1, positive scales, atil
+    and its discrete slope vanishing at z = 0, and ctil vanishing on the
+    boundary (at z = 0, and for sigma=1 also at z = 1/nu)."""
+    if sigma not in (0, 1):
+        raise ValueError("sigma must be 0 or 1")
     if not (lam > 0.0 and nu > 0.0):
         raise ValueError("lam and nu must be positive")
     if abs(va[0]) > _ORTH_TOL_VALUE:
@@ -146,27 +149,24 @@ class SelfSimilarState:
     sigma: int
     t: float = 0.0
 
-    # On a state made by step_selfsim: the zero-average defect its re-pinning
-    # left unprojected (None when the projection fired).
+    # On a re-pinned state (decompose, build_state, step_selfsim): the
+    # zero-average defect its re-pinning left unprojected (None when the
+    # projection fired).
     _lost_defect = None
 
     def __post_init__(self):
-        if self.sigma not in (0, 1):
-            raise ValueError("sigma must be 0 or 1")
-        if not (self.lam > 0.0 and self.nu > 0.0):
-            raise ValueError("lam and nu must be positive")
         g = self.atil.grid
         if g != self.ctil.grid:
             raise ValueError("atil and ctil must share a grid")
+        _check_pinned(self.atil.values, self.ctil.values, g.h, self.lam, self.nu, self.sigma)
         if not _on_domain(g, 1.0 / self.nu):
             raise ValueError("self-similar domain must be [0, 1/nu]")
-        _check_pinned(self.atil.values, self.ctil.values, g.h, self.lam, self.nu, self.sigma)
 
     @classmethod
     def _from_rows(cls, y, g, lam, nu, s, sigma, t, lost_defect):
         """The state on the stacked rows y = (atil, ctil) on grid g, which
-        the caller has validated; y is frozen and becomes the state's
-        samples without a copy."""
+        _repin has validated; y is frozen and becomes the state's samples
+        without a copy."""
         y.flags.writeable = False
         st = object.__new__(cls)
         st.__dict__.update(atil=Field._trusted(g, y[0]), ctil=Field._trusted(g, y[1]),
@@ -288,17 +288,13 @@ def modulation_rates(st: SelfSimilarState) -> ModulationRates:
     return ModulationRates(sg.dlam, sg.dnu)
 
 
-def perturbation_rhs(st: SelfSimilarState, rates: ModulationRates) -> tuple[Field, Field]:
+def perturbation_rhs(st: SelfSimilarState) -> tuple[Field, Field]:
     """Time derivative (atil_s, ctil_s) of the perturbation fields at fixed z.
 
-    ``rates`` must be the modulation rates of the same state; the nonlocal
-    source then cancels the perturbation and its slope at z = 0 to
-    round-off.
+    It uses the state's own modulation rates, with which the nonlocal
+    source cancels the perturbation and its slope at z = 0 to round-off.
     """
     sg = st._stage1
-    dlam = sg.dlam
-    if abs(dlam - rates.dlog_lambda) > 1e-12 * max(1.0, abs(dlam)):
-        raise ValueError("rates inconsistent with the state")
     y = st._rows
     # at fixed z the domain stretch transports too, and sigma=1 ctil diffuses
     rhs = _field_rhs(y, sg, st.lam, st.nu, st.sigma) + (sg.dnu * sg.z) * d1(y, sg.h)
@@ -362,18 +358,39 @@ def _pinned_nu(head, n: int) -> float:
     return nu
 
 
-def _pin(u):
-    """Turn the lam-scaled amplitude u (samples on the lattice xi), in place,
-    into the perturbation about the profile at the spatial scale whose
-    nodes xi/nu make its discrete slope at z = 0 vanish.  Returns (nu, grid,
-    the defect the projection left, or None)."""
-    nu = _pinned_nu(u[:5], u.shape[0])
-    g = Grid(0.0, 1.0 / nu, u.shape[0])
+def _repin(amp, vc, lam, sigma, s, t) -> SelfSimilarState:
+    """The pinned state of the lam-scaled amplitude amp (profile included)
+    and the temperature vc, both sampled on the lattice xi: the one path by
+    which decompose, build_state and step_selfsim make their states.
+
+    Both rows are divided by amp(0), and lam with them, so that atil(0) = 0;
+    nu is the scale whose nodes xi/nu make the discrete slope of atil at
+    z = 0 vanish, and the nodes xi/nu take the samples node for node.  The
+    zero-average defect is projected out along the tail bump, ctil is held
+    at 0 at z = 1/nu for sigma=1, and ctil(0) = 0 is checked, not imposed.
+    Raises NonFiniteState when a scaled sample is not finite.
+    """
+    a0 = float(amp[0])
+    if a0 <= 0.0:
+        raise DegenerateTrace("perturbation reached -1 at the origin")
+    ratio = 1.0 / a0
+    y = np.empty((2, amp.shape[0]))
+    np.multiply(amp, ratio, out=y[0])
+    np.multiply(vc, ratio ** (1 + sigma), out=y[1])
+    if not np.isfinite(y).all():
+        raise NonFiniteState(f"non-finite samples in the state at s={s:g}")
+    nu = _pinned_nu(y[0, :5], y.shape[1])
+    g = Grid(0.0, 1.0 / nu, y.shape[1])
     z = g.nodes
     ez = np.exp(-z)
-    u -= ez
-    u[0] = 0.0
-    return nu, g, _project_zero_average(u, z, g.h, ez)
+    y[0] -= ez
+    y[0, 0] = 0.0
+    lost = _project_zero_average(y[0], z, g.h, ez)
+    if sigma == 1:
+        y[1, -1] = 0.0
+    lam = lam / a0
+    _check_pinned(y[0], y[1], g.h, lam, nu, sigma)
+    return SelfSimilarState._from_rows(y, g, lam, nu, s, sigma, t, lost)
 
 
 def decompose(a: Field, c: Field, sigma: int, s0: float) -> SelfSimilarState:
@@ -388,18 +405,11 @@ def decompose(a: Field, c: Field, sigma: int, s0: float) -> SelfSimilarState:
     g = a.grid
     if c.grid != g or not _on_domain(g, 1.0):
         raise ValueError("decompose needs a and c on one grid on [0, 1]")
-    va = a.values
-    a0 = float(va[0])
-    d0 = d1_at_lo(va, g.h)
+    a0 = float(a.values[0])
+    d0 = d1_at_lo(a.values, g.h)
     if a0 <= 0.0 or d0 >= 0.0:
         raise DegenerateTrace(f"a(0)={a0:g}, a_Z(0)={d0:g}: profile matching impossible")
-    lam = 1.0 / a0
-    atil = lam * va
-    nu, gz, _ = _pin(atil)
-    ctil = lam ** (1 + sigma) * c.values
-    if sigma == 1:
-        ctil[-1] = 0.0
-    return SelfSimilarState(Field(gz, atil), Field(gz, ctil), lam, nu, s0, sigma)
+    return _repin(a.values, c.values, 1.0, sigma, s0, 0.0)
 
 
 def reconstruct(st: SelfSimilarState) -> tuple[Field, Field]:
@@ -411,41 +421,18 @@ def reconstruct(st: SelfSimilarState) -> tuple[Field, Field]:
     return Field(g, a), Field(g, c)
 
 
-def _reorthogonalize(va, vc, z, lam, sigma):
-    """Re-pin the scales so the perturbation and its discrete slope vanish
-    at z = 0 exactly.  The fields sit on the nodes z = xi/nu; the new nodes
-    xi/nu_bar carry the same physical samples, so the map is nodal.
-    Returns the stacked rows (atil, ctil), lam, nu, the grid, and the
-    defect the projection left (None when it fired)."""
-    one_plus = 1.0 + float(va[0])
-    if one_plus <= 0.0:
-        raise DegenerateTrace("perturbation reached -1 at the origin")
-    ratio = 1.0 / one_plus
-    y = np.empty((2, va.shape[0]))
-    np.add(np.exp(-z), va, out=y[0])
-    y[0] *= ratio
-    nu_bar, g, lost = _pin(y[0])
-    np.multiply(vc, ratio ** (1 + sigma), out=y[1])
-    y[1, 0] = 0.0
-    if sigma == 1:
-        y[1, -1] = 0.0
-    return y, lam / one_plus, nu_bar, g, lost
-
-
 def build_state(atil: Field, ctil: Field, lam: float, nu: float, s: float,
                 sigma: int, t: float = 0.0) -> SelfSimilarState:
     """Construct a state from raw perturbation fields on [0, 1/nu].
 
     Hand-built samples rarely satisfy the discrete z=0 vanishing conditions
-    to their tight tolerances, so the fields are routed through one
-    re-orthogonalization (which moves the mismatch into the scales) before
-    the validated state is assembled.
+    to their tight tolerances, so the fields are re-pinned once, which
+    moves the mismatch into the scales.  ctil(0) must already be 0.
     """
     g = atil.grid
     if ctil.grid != g or not _on_domain(g, 1.0 / nu):
         raise ValueError("build_state needs atil and ctil on one grid on [0, 1/nu]")
-    y, lam2, nu2, gnew, _ = _reorthogonalize(atil.values, ctil.values, g.nodes, lam, sigma)
-    return SelfSimilarState(Field(gnew, y[0]), Field(gnew, y[1]), lam2, nu2, s, sigma, t)
+    return _repin(np.exp(-g.nodes) + atil.values, ctil.values, lam, sigma, s, t)
 
 
 def reorthogonalize(st: SelfSimilarState) -> SelfSimilarState:
@@ -459,13 +446,14 @@ def reorthogonalize(st: SelfSimilarState) -> SelfSimilarState:
 # ---------------------------------------------------------------------------
 
 def _exp_scales(loglam, lognu):
-    """(lam, nu) from their logarithms; NonFiniteState when either is not a
-    positive finite float."""
+    """(lam, nu) from their logarithms; NonFiniteState when lam is not a
+    positive finite float, or nu**2 (the sigma=1 diffusion divides by it)
+    is not."""
     try:
         lam, nu = math.exp(loglam), math.exp(lognu)
     except OverflowError:
         lam = nu = math.inf
-    if not (0.0 < lam < math.inf and 0.0 < nu < math.inf):
+    if not (0.0 < lam < math.inf and 0.0 < nu * nu < math.inf):
         raise NonFiniteState(f"scales out of range: log lam = {loglam:g}, log nu = {lognu:g}")
     return lam, nu
 
@@ -479,12 +467,13 @@ def step_selfsim(st: SelfSimilarState, ds: float) -> SelfSimilarState:
     stable_ds may already have computed.  For sigma=1 the diffusion is
     applied as two Crank-Nicolson half steps around the advection/reaction
     update (Strang), on the grid of the scale before and after the step.
-    Afterwards the state is re-orthogonalized: the scales are re-pinned so
-    the perturbation and its discrete slope vanish at z = 0 exactly, and
-    the nodes xi/nu of the re-pinned nu take the old samples node for node.
+    Afterwards _repin re-pins the scales so the perturbation and its
+    discrete slope vanish at z = 0 exactly, and the nodes xi/nu of the
+    re-pinned nu take the old samples node for node.
 
-    Raises NonFiniteState when the scales overflow or a sample is not
-    finite: the step ran away.
+    Raises NonFiniteState when the scales leave the float range or a sample
+    is not finite: the step ran away.  The samples are scanned before nu is
+    pinned, so a non-finite sample that the pin reads is reported as such.
     """
     if ds < 0.0:
         raise ValueError("ds must be non-negative")
@@ -525,13 +514,8 @@ def step_selfsim(st: SelfSimilarState, ds: float) -> SelfSimilarState:
     if sigma == 1:
         y[1] = cn_half(y[1], h, 0.5 * ds * lam / (nu * nu))
 
-    y, lam, nu, g, lost = _reorthogonalize(y[0], y[1], xi / nu, lam, sigma)
-    # the checks SelfSimilarState makes, in one pass over the stacked rows
-    if not np.isfinite(y).all():
-        raise NonFiniteState(f"non-finite samples after the step from s={st.s:g} "
-                             f"over ds={ds:g}")
-    _check_pinned(y[0], y[1], g.h, lam, nu, sigma)
-    return SelfSimilarState._from_rows(y, g, lam, nu, st.s + ds, sigma, t, lost)
+    y[0] += np.exp(-xi / nu)
+    return _repin(y[0], y[1], lam, sigma, st.s + ds, t)
 
 
 # ---------------------------------------------------------------------------

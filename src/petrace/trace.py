@@ -178,8 +178,9 @@ def step(state: TraceState, cfg: SolverConfig, dt_cap: float | None = None) -> S
     Afterwards the spatial mean of a is projected out.  If the state already
     exceeds the blow-up cap, no step is taken and the blow-up flag is set.
 
-    Raises NonFiniteState when a sample of the result is not finite: the
-    step ran away.
+    Raises TimeStepUnderflow when the stable step falls below
+    ``cfg.dt_floor``, and NonFiniteState when a sample of the result is not
+    finite: the step ran away.
     """
     cap = cfg.blowup_cap if cfg.blowup_cap is not None else math.inf
     if state.max_a >= cap:
@@ -234,7 +235,7 @@ class Trajectory:
     drift_rate: np.ndarray         # pre-projection d(int a)/dt
     probe_Z: tuple[float, ...]     # heights i/(n-1) of the nodes probed
     probes: np.ndarray             # samples of a at the probe heights
-    reason: str                    # blowup | t_max | dt_underflow | max_steps
+    reason: str                    # blowup | t_max | max_steps
     final_state: TraceState | None = None
 
     def __post_init__(self):
@@ -316,7 +317,9 @@ def run_to_time(state0: TraceState, cfg: SolverConfig, t_end: float) -> Trajecto
 def _run(state0: TraceState, cfg: SolverConfig) -> Trajectory:
     """Step until a stop reason, landing on t_max exactly; one row of
     diagnostics per state (t, max|a|, max|c|, mean of a, dt, a(t,0),
-    a_Z(t,0), drift rate, then a at each probe node)."""
+    a_Z(t,0), drift rate, then a at each probe node).  A stable step below
+    the floor is not a stop reason: TimeStepUnderflow propagates, as it does
+    from run_selfsim."""
     idx = _probe_indices(state0.grid, cfg.probe_Z)
     h = state0.grid.h
     limit = cfg.t_max
@@ -337,11 +340,7 @@ def _run(state0: TraceState, cfg: SolverConfig) -> Trajectory:
         if k == cfg.max_steps:
             reason = "max_steps"
             break
-        try:
-            res = step(state, cfg, dt_cap=limit - state.t)
-        except TimeStepUnderflow:
-            reason = "dt_underflow"
-            break
+        res = step(state, cfg, dt_cap=limit - state.t)
         if res.blowup:
             reason = "blowup"
             break

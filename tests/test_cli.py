@@ -242,6 +242,15 @@ class TestModes:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "non-finite samples" in err
 
+    @pytest.mark.parametrize("sigma", [0, 1])
+    def test_dt_underflow_exits_3(self, tmp_path, capsys, sigma):
+        code = run_cli("simulate", "--out", str(tmp_path / "sim"), "--quiet",
+                       "--set", "init.n=129", "--set", f"init.sigma={sigma}",
+                       "--set", "solver.blowup_cap=1e300")
+        assert code == 3
+        assert "below floor" in capsys.readouterr().err
+        assert not (tmp_path / "sim" / "trajectory.csv").exists()
+
     @pytest.mark.parametrize("mode, setting, name", [
         ("simulate", "solver.max_steps=-3", "max_steps"),
         ("simulate", "solver.max_steps=0", "max_steps"),

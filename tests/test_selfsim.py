@@ -8,7 +8,6 @@ from petrace.errors import ConstraintLost, DegenerateTrace, NonFiniteState
 from petrace.grid import Field, Grid, antiderivative, cumulative, d1_at_lo, definite
 from petrace.initial_data import InitialDataSpec, build_profile_data
 from petrace.selfsim import (
-    ModulationRates,
     SelfsimConfig,
     SelfSimilarState,
     build_state,
@@ -101,6 +100,15 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(a, Field(Grid(0.0, 1.0, 257), np.zeros(257)), 0, s0=1.0)
 
+    @pytest.mark.parametrize("sigma, c0", [(2, 0.0), (0, 0.5), (1, 0.5)])
+    def test_rejects_a_sigma_or_an_axis_temperature_it_cannot_pin(self, sigma, c0):
+        g = Grid(0.0, 1.0, 129)
+        a = Field(g, np.exp(-g.nodes / 0.1))
+        c = np.zeros(g.n)
+        c[0] = c0
+        with pytest.raises(ValueError, match="sigma"):
+            decompose(a, Field(g, c), sigma, s0=1.0)
+
 
 class TestBuildState:
     def test_rejects_fields_off_the_rescaled_domain(self):
@@ -112,6 +120,16 @@ class TestBuildState:
         on = Grid(0.0, 1.0 / nu, 129)
         with pytest.raises(ValueError):
             build_state(Field(on, zero), Field(off, zero), 0.01, nu, 5.0, 0)
+
+    # ctil(0) = 0 is checked, not imposed: a hand-built ctil(0) != 0 is refused
+    @pytest.mark.parametrize("sigma, c0", [(2, 0.0), (0, 0.5), (1, 0.5)])
+    def test_rejects_a_sigma_or_an_axis_temperature_it_cannot_pin(self, sigma, c0):
+        nu = 0.1
+        g = Grid(0.0, 1.0 / nu, 129)
+        ct = np.zeros(g.n)
+        ct[0] = c0
+        with pytest.raises(ValueError, match="sigma"):
+            build_state(Field(g, np.zeros(g.n)), Field(g, ct), 0.01, nu, 5.0, sigma)
 
 
 class TestReconstruct:
@@ -216,7 +234,7 @@ class TestPerturbationRhs:
         nu = 0.125
         st = bare_profile_state(nu=nu, n=4097)
         r = modulation_rates(st)
-        da, dc = perturbation_rhs(st, r)
+        da, dc = perturbation_rhs(st)
         z = st.grid.nodes
         A = r.dlog_lambda + 1.0
         expected = A * ((1.0 + z) * np.exp(-z) - 1.0)
@@ -228,14 +246,8 @@ class TestPerturbationRhs:
 
     def test_ctil_zero_gives_zero_dctil(self):
         st = balanced_state(s0=9.0, c_amp=0.0, sigma=0)
-        da, dc = perturbation_rhs(st, modulation_rates(st))
+        da, dc = perturbation_rhs(st)
         assert dc.max_abs() == 0.0
-
-    def test_inconsistent_rates_rejected(self):
-        st = balanced_state(s0=9.0)
-        bad = ModulationRates(0.5, -1.5)
-        with pytest.raises(ValueError):
-            perturbation_rhs(st, bad)
 
     def test_sigma1_temperature_rate_vanishes_at_both_ends_in_both_frames(self):
         # c and ctil are held at 0 on the boundary, so their rates are exactly
@@ -245,7 +257,7 @@ class TestPerturbationRhs:
         state = build_profile_data(spec, 513)
         _, dc = trace_rhs(state)
         ss = decompose(state.a, state.c, 1, spec.s0)
-        _, dctil = perturbation_rhs(ss, modulation_rates(ss))
+        _, dctil = perturbation_rhs(ss)
         for rate in (dc.values, dctil.values):
             assert rate[0] == 0.0 and rate[-1] == 0.0
             assert rate[1] != 0.0 and rate[-2] != 0.0
@@ -265,7 +277,7 @@ class TestPerturbationRhs:
         sts = {n: build(n) for n in (2049, 4097, 8193)}
         das = {}
         for n, st in sts.items():
-            da, _ = perturbation_rhs(st, modulation_rates(st))
+            da, _ = perturbation_rhs(st)
             das[n] = da
         # the 2049-node grid is every 2nd node of 4097 and every 4th of 8193
         mid = das[4097].values[::2]
@@ -327,11 +339,20 @@ class TestStep:
         with pytest.raises(NonFiniteState):
             step_selfsim(st, ds)
 
-    @pytest.mark.parametrize("sigma", [0, 1])
-    def test_non_finite_samples_raise_non_finite_state(self, monkeypatch, sigma):
-        # finite scales but a non-finite ctil from the last RK stage: for
-        # sigma=1 it passes through the trailing Crank-Nicolson half step, and
-        # only the scan of the stepped rows sees it
+    def test_step_whose_nu_squared_underflows_raises_non_finite_state(self):
+        # about a thousand stable steps at once: nu leaves the range where the
+        # trailing Crank-Nicolson half step can divide by nu**2
+        st = balanced_state(s0=12.0, n=129, sigma=1, c_amp=1e-3)
+        with pytest.raises(NonFiniteState, match="scales out of range"):
+            step_selfsim(st, 35.0)
+
+    # finite scales but a non-finite sample from the last RK stage.  In ctil
+    # it passes, for sigma=1, through the trailing Crank-Nicolson half step,
+    # and only the scan of the stepped rows sees it.  In atil's five-node
+    # head it is what the pin of nu reads, so the scan must come first.
+    @pytest.mark.parametrize("sigma, row, node", [(0, 1, 64), (1, 1, 64), (0, 0, 2), (1, 0, 2)],
+                             ids=["0", "1", "0-atil_head", "1-atil_head"])
+    def test_non_finite_samples_raise_non_finite_state(self, monkeypatch, sigma, row, node):
         st = balanced_state(s0=12.0, n=129, sigma=sigma, c_amp=1e-3)
         field_rhs = selfsim._field_rhs
         calls = []
@@ -340,7 +361,7 @@ class TestStep:
             rhs = field_rhs(y, sg, *args, **kwargs)
             calls.append(1)
             if len(calls) == 4:
-                rhs[1, len(y[1]) // 2] = math.nan
+                rhs[row, node] = math.nan
             return rhs
 
         monkeypatch.setattr(selfsim, "_field_rhs", poisoned)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from petrace.errors import FitDegenerate, NonFiniteState
+from petrace.errors import FitDegenerate, NonFiniteState, TimeStepUnderflow
 from petrace.grid import Field, Grid, definite, integral
 from petrace.trace import (
     SolverConfig,
@@ -207,6 +207,14 @@ class TestRuns:
         traj = run_to_blowup(st, cfg)
         assert traj.reason == "blowup"
         assert traj.max_a[-1] >= 0.5e3 * st.a.max_abs()
+
+    # a blow-up cap beyond reach: the stable step shrinks below its floor
+    # first, and that is a failure in both frames, not a stop reason
+    @pytest.mark.parametrize("sigma", [0, 1])
+    def test_dt_underflow_raises(self, sigma):
+        st = profile_state(1e-3, 1.0 / (2 * np.log(1e3)), 129, sigma=sigma, c_amp=0.1)
+        with pytest.raises(TimeStepUnderflow, match="below floor"):
+            run_to_blowup(st, SolverConfig(blowup_cap=1e300))
 
     def test_zero_data_runs_to_t_max(self):
         st = zero_state(64)
