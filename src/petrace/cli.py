@@ -24,7 +24,7 @@ from .errors import (ConstraintLost, FitDegenerate, NonFiniteState, PetraceError
 from .fitting import estimate_T, fit_rates
 from .params import (FrameworkParams, alpha0, reference_sigma0_params,
                      reference_sigma1_params, validate_params)
-from .trace import SolverConfig, Trajectory, run_to_blowup
+from .trace import SolverConfig, Trajectory, _write_csv, run_to_blowup
 
 MODES = ("simulate", "selfsim", "validate-params", "alpha0", "energies",
          "fit", "redecompose", "sweep")
@@ -246,10 +246,8 @@ def _mode_energies(cfg, outdir, quiet):
     params = _params_from(cfg)
     rep = energy_report(ss, params)
     verdict = check_initial_closeness(ss, params)
-    with open(outdir / "energies.csv", "w") as fh:
-        fh.write("s,Ia2,Ea2,Ic2,Ec2,T_k_eta\n")
-        fh.write(",".join(f"{x:.17g}" for x in
-                          (rep.s, rep.Ia2, rep.Ea2, rep.Ic2, rep.Ec2, rep.T_k_eta)) + "\n")
+    _write_csv(outdir / "energies.csv", "s,Ia2,Ea2,Ic2,Ec2,T_k_eta",
+               [(rep.s, rep.Ia2, rep.Ea2, rep.Ic2, rep.Ec2, rep.T_k_eta)])
     (outdir / "verdict.json").write_text(
         _json(verdict.to_json(), indent=2) + "\n")
     _emit(f"energies: closeness {'pass' if verdict.passed else 'FAIL'}", quiet)
@@ -265,10 +263,7 @@ def _mode_fit(cfg, outdir, quiet):
     T_hat = estimate_T(traj, cfg["fit.tail_fraction"])
     fit = fit_rates(traj, T_hat, cfg["fit.tail_fraction"])
     (outdir / "fit.json").write_text(_json(fit.to_json(), indent=2) + "\n")
-    with open(outdir / "rates.csv", "w") as fh:
-        fh.write("Z,exponent\n")
-        for z, e in fit.pointwise:
-            fh.write(f"{z:.17g},{e:.17g}\n")
+    _write_csv(outdir / "rates.csv", "Z,exponent", fit.pointwise)
     _emit(f"fit: T_hat={T_hat:.6g}, rate_a={fit.rate_a:.4f}", quiet)
     return 0
 
@@ -306,6 +301,8 @@ def _mode_sweep(cfg, outdir, quiet):
     key = cfg["sweep.param"]
     if key not in REGISTRY:
         raise ConfigError(f"sweep.param {key!r} is not a known key")
+    if key == "mode" or key.startswith("sweep."):  # sweep.mode sets every sub-run's mode
+        raise ConfigError(f"sweep.param {key!r} cannot be swept")
     values = [v for v in cfg["sweep.values"].split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep.values is empty")

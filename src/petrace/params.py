@@ -140,6 +140,9 @@ class FrameworkParams:
     delta: float = 0.1
 
     def __post_init__(self):
+        for name, v in vars(self).items():
+            if isinstance(v, float) and math.isnan(v):
+                raise ValueError(f"framework parameter {name} must not be nan")
         if self.sigma not in (0, 1):
             raise ValueError(f"sigma must be 0 or 1, got {self.sigma}")
         if self.sigma == 0 and (self.gamma is None or self.h_c is None):

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (ConstraintLost, DegenerateTrace, NonFiniteState, ScaleFitFailure,
                      TimeStepUnderflow)
 from .grid import Field, Grid, cn_half, cumulative, d1, d1_at_lo, d2, definite
-from .trace import _REASON_TAG
+from .trace import _march, _write_csv
 
 __all__ = [
     "SelfSimilarState",
@@ -563,15 +563,8 @@ class SelfsimTrajectory:
         verdict was taken), then a last line ``# reason=<stop reason>``."""
         cols = np.column_stack([self.s, self.lam, self.nu, self.max_atil,
                                 self.max_ctil, self.Ia2, self.Ea2, self.Ic2_or_T])
-        with open(path, "w") as fh:
-            fh.write("s,lambda,nu,max_atil,max_ctil,I_a2,E_a2,I_c2_or_T,trapped\n")
-            for row, trap in zip(cols, self.trapped):
-                txt = ",".join(f"{x:.17g}" for x in row)
-                if np.isnan(trap):
-                    fh.write(txt + ",\n")
-                else:
-                    fh.write(txt + f",{int(trap)}\n")
-            fh.write(f"{_REASON_TAG}{self.reason}\n")
+        _write_csv(path, "s,lambda,nu,max_atil,max_ctil,I_a2,E_a2,I_c2_or_T,trapped",
+                   cols, self.reason, flags=self.trapped)
 
 
 def stable_ds(st: SelfSimilarState, ds_safety: float = 0.25) -> float:
@@ -587,9 +580,10 @@ def stable_ds(st: SelfSimilarState, ds_safety: float = 0.25) -> float:
 
 
 def run_selfsim(st0: SelfSimilarState, cfg: SelfsimConfig) -> SelfsimTrajectory:
-    """March to s_end, sampling scales, sup norms and (optionally) the
-    weighted energies and the trapped verdict along the way.  The result's
-    ``reason`` says whether s_end was reached or max_steps ran out.
+    """March to s_end by the run loop ``trace._march``, sampling scales, sup
+    norms and (optionally) the weighted energies and the trapped verdict at
+    the start, every ``stride``-th step and the final state.  ``reason``
+    says whether s_end was reached or max_steps ran out.
 
     The start must satisfy the zero-average constraint, and every step must
     keep it: a step whose re-pinning cannot project the defect out raises
@@ -597,53 +591,32 @@ def run_selfsim(st0: SelfSimilarState, cfg: SelfsimConfig) -> SelfsimTrajectory:
     """
     from . import diagnostics  # local import to avoid a module cycle
 
-    rows = []
-
-    def record(st):
-        edge = float(st.ctil.values[-1])
-        if cfg.params is not None:
-            rep = diagnostics.energy_report(st, cfg.params)
-            verdict = diagnostics.check_trapped(rep, cfg.params, st.lam, st.nu)
-            ict = rep.Ic2 if st.sigma == 0 else rep.T_k_eta
-            rows.append((st.s, st.lam, st.nu, st.atil.max_abs(), st.ctil.max_abs(),
-                         st.t, rep.Ia2, rep.Ea2, ict, rep.Ec2 if st.sigma == 0 else math.nan,
-                         1.0 if verdict.passed else 0.0, edge))
-        else:
-            rows.append((st.s, st.lam, st.nu, st.atil.max_abs(), st.ctil.max_abs(),
-                         st.t, math.nan, math.nan, math.nan, math.nan, math.nan, edge))
-
     if abs(st0.zero_average_defect()) > _INT_TOL:
         raise ValueError("trajectory start must satisfy int(phi + atil) = 0")
     if cfg.s_end < st0.s:
         raise ValueError(f"s_end={cfg.s_end:g} lies before the start s={st0.s:g}")
-    st = st0
-    record(st)
-    k = 0
-    reason = "s_end"
-    while st.s < cfg.s_end:
-        remaining = cfg.s_end - st.s
-        if remaining < max(_DS_FLOOR, 1e-14 * cfg.s_end):
-            break  # within round-off of the landing time
-        if k >= cfg.max_steps:
-            reason = "max_steps"
-            if k % cfg.stride:
-                record(st)  # the trajectory ends where the run stopped
-            break
-        ds = min(stable_ds(st, cfg.ds_safety), remaining)
+
+    def advance(st, left):
+        ds = min(stable_ds(st, cfg.ds_safety), left)
         if ds < _DS_FLOOR:
             raise TimeStepUnderflow(f"ds={ds:g} below floor at s={st.s:g}")
         st = step_selfsim(st, ds)
         if st._lost_defect is not None:
             raise ConstraintLost(f"zero-average defect {st._lost_defect:.3g} above the "
                                  f"projection threshold {_PROJECT_THRESHOLD:g} at s={st.s:g}")
-        k += 1
-        if k % cfg.stride == 0 or st.s >= cfg.s_end:
-            record(st)
+        return st
 
-    arr = np.array(rows)
-    return SelfsimTrajectory(
-        s=arr[:, 0], lam=arr[:, 1], nu=arr[:, 2], max_atil=arr[:, 3],
-        max_ctil=arr[:, 4], t=arr[:, 5], Ia2=arr[:, 6], Ea2=arr[:, 7],
-        Ic2_or_T=arr[:, 8], Ec2=arr[:, 9], trapped=arr[:, 10],
-        ctil_edge=arr[:, 11], final_state=st, reason=reason,
-    )
+    def row(st):
+        # in the field order of SelfsimTrajectory
+        energies = (math.nan,) * 5
+        if cfg.params is not None:
+            rep = diagnostics.energy_report(st, cfg.params)
+            passed = float(diagnostics.check_trapped(rep, cfg.params, st.lam, st.nu).passed)
+            energies = ((rep.Ia2, rep.Ea2, rep.Ic2, rep.Ec2, passed) if st.sigma == 0
+                        else (rep.Ia2, rep.Ea2, rep.T_k_eta, math.nan, passed))
+        return (st.s, st.lam, st.nu, st.atil.max_abs(), st.ctil.max_abs(), st.t, *energies,
+                float(st.ctil.values[-1]))
+
+    arr, st, stop = _march(st0, lambda st: st.s, cfg.s_end, _DS_FLOOR, cfg.max_steps,
+                           advance, row, cfg.stride)
+    return SelfsimTrajectory(*arr.T, final_state=st, reason="s_end" if stop == "end" else stop)

@@ -259,11 +259,7 @@ class Trajectory:
         cols = np.column_stack([self.t, self.max_a, self.max_c, self.mean_a, self.dt,
                                 self.a0, self.aZ0, self.probes])
         header = ",".join([_CSV_HEADER, *(f"{_PROBE_TAG}{float(z)!r}" for z in self.probe_Z)])
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in cols.tolist():  # Python floats format faster than numpy scalars
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-            fh.write(f"{_REASON_TAG}{self.reason}\n")
+        _write_csv(path, header, cols, self.reason)
 
     @classmethod
     def from_csv(cls, path) -> Trajectory:
@@ -292,6 +288,19 @@ class Trajectory:
                    reason=lines[-1][len(_REASON_TAG):])
 
 
+def _write_csv(path, header, rows, reason=None, flags=None):
+    """Write ``rows`` (a 2-D array or a sequence of rows) under the header
+    line, every value as a full-precision decimal (``%.17g``).  ``flags``,
+    if given, is a last column of integers, an empty field where it is NaN;
+    ``reason``, if given, is written as a last line ``# reason=<reason>``."""
+    lines = [",".join(f"{x:.17g}" for x in row) for row in np.asarray(rows, float).tolist()]
+    if flags is not None:
+        lines = [f"{line},{'' if math.isnan(f) else int(f)}" for line, f in zip(lines, flags)]
+    tail = [] if reason is None else [_REASON_TAG + reason]
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, *lines, *tail]) + "\n")
+
+
 def _probe_indices(grid: Grid, probe_Z):
     """The node nearest each probe height; heights that share a node are
     rejected, since their columns would repeat one series."""
@@ -314,43 +323,56 @@ def run_to_time(state0: TraceState, cfg: SolverConfig, t_end: float) -> Trajecto
     return _run(state0, replace(cfg, t_max=min(cfg.t_max, t_end)))
 
 
-def _run(state0: TraceState, cfg: SolverConfig) -> Trajectory:
-    """Step until a stop reason, landing on t_max exactly; one row of
-    diagnostics per state (t, max|a|, max|c|, mean of a, dt, a(t,0),
-    a_Z(t,0), drift rate, then a at each probe node).  A stable step below
-    the floor is not a stop reason: TimeStepUnderflow propagates, as it does
-    from run_selfsim."""
-    idx = _probe_indices(state0.grid, cfg.probe_Z)
-    h = state0.grid.h
-    limit = cfg.t_max
-    rows = []
-
-    def record(st: TraceState, dt_used: float, drift: float):
-        va = st.a.values
-        rows.append((st.t, st.max_a, st.c.max_abs(), st.mean_a, dt_used, va[0],
-                     d1_at_lo(va, h), drift, *va[idx]))
-
-    state = state0
-    record(state, 0.0, 0.0)
-    for k in range(cfg.max_steps + 1):
-        # also true at or past the limit; an infinite limit never lands
-        if limit - state.t < max(cfg.dt_floor, 1e-15 * limit):
-            reason = "t_max"
+def _march(x, clock, end, floor, max_steps, advance, row, stride=1):
+    """The run loop of both frames: step x until ``clock(x)`` lands on
+    ``end`` within max(floor, 1e-15 end), which is checked before the step
+    budget of ``max_steps``.  ``advance(x, left)`` steps at most ``left``
+    and returns the next x, or None on blow-up.  ``row(x)`` tabulates the
+    start, every ``stride``-th step and the final x, always the last row.
+    Returns the rows as an array, the final x and the stop reason ("end",
+    "max_steps" or "blowup")."""
+    rows = [row(x)]
+    for k in range(max_steps + 1):
+        left = end - clock(x)
+        if left < max(floor, 1e-15 * end):  # also past the end; an infinite end never lands
+            reason = "end"
             break
-        if k == cfg.max_steps:
+        if k == max_steps:
             reason = "max_steps"
             break
-        res = step(state, cfg, dt_cap=limit - state.t)
-        if res.blowup:
+        nxt = advance(x, left)
+        if nxt is None:
             reason = "blowup"
             break
-        state = res.state
-        record(state, res.dt, res.mean_drift_rate)
+        x = nxt
+        if (k + 1) % stride == 0:
+            rows.append(row(x))
+    if k % stride:
+        rows.append(row(x))
+    return np.array(rows), x, reason
 
-    arr = np.array(rows)
-    return Trajectory(
-        t=arr[:, 0], max_a=arr[:, 1], max_c=arr[:, 2], mean_a=arr[:, 3], dt=arr[:, 4],
-        a0=arr[:, 5], aZ0=arr[:, 6], drift_rate=arr[:, 7],
-        probe_Z=tuple(i / (state0.grid.n - 1) for i in idx), probes=arr[:, 8:],
-        reason=reason, final_state=state,
-    )
+
+def _run(state0: TraceState, cfg: SolverConfig) -> Trajectory:
+    """Step by the run loop ``_march`` until a stop reason, landing on t_max
+    exactly; one row per state, in Trajectory's field order (t, max|a|,
+    max|c|, mean of a, dt, a(t,0), a_Z(t,0), drift rate, a at each probe
+    node).  A stable step below the floor is not a stop reason:
+    TimeStepUnderflow propagates, as it does from run_selfsim."""
+    idx = _probe_indices(state0.grid, cfg.probe_Z)
+    h = state0.grid.h
+
+    def advance(res: StepResult, left: float):
+        res = step(res.state, cfg, dt_cap=left)
+        return None if res.blowup else res
+
+    def row(res: StepResult):
+        st = res.state
+        va = st.a.values
+        return (st.t, st.max_a, st.c.max_abs(), st.mean_a, res.dt, va[0], d1_at_lo(va, h),
+                res.mean_drift_rate, *va[idx])
+
+    arr, last, stop = _march(StepResult(state0, 0.0, False), lambda res: res.state.t,
+                             cfg.t_max, cfg.dt_floor, cfg.max_steps, advance, row)
+    return Trajectory(*arr.T[:8], probe_Z=tuple(i / (state0.grid.n - 1) for i in idx),
+                      probes=arr[:, 8:], reason="t_max" if stop == "end" else stop,
+                      final_state=last.state)

@@ -127,7 +127,10 @@ class TestModes:
         assert code == 0
         fit = json.loads((out / "fit.json").read_text())
         assert abs(fit["rate_a"] - (-1.0)) <= 0.1
-        assert (out / "rates.csv").exists()
+        rates = (out / "rates.csv").read_text().splitlines()
+        assert rates[0] == "Z,exponent"
+        assert rates[1:] == [f"{p['Z']:.17g},{p['exponent']:.17g}" for p in fit["pointwise"]]
+        assert len(rates) == 4
 
     def test_fit_json_is_strict(self, tmp_path):
         # non-finite results must come out as null, never as a bare NaN
@@ -209,6 +212,9 @@ class TestModes:
         assert code == 0
         lines = (out / "energies.csv").read_text().splitlines()
         assert lines[0] == "s,Ia2,Ea2,Ic2,Ec2,T_k_eta"
+        assert len(lines) == 2
+        values = lines[1].split(",")
+        assert len(values) == 6 and values == [f"{float(x):.17g}" for x in values]
         assert (out / "verdict.json").exists()
 
     def test_selfsim_mode_short(self, tmp_path):
@@ -282,6 +288,16 @@ class TestModes:
         assert code == 2
         assert name in capsys.readouterr().err
         assert not (tmp_path / "sim" / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("key", ["alpha", "z_star"])
+    @pytest.mark.parametrize("mode", ["selfsim", "energies", "validate-params"])
+    def test_nan_framework_parameter_exits_2(self, tmp_path, capsys, mode, key):
+        out = tmp_path / "run"
+        code = run_cli(mode, "--out", str(out), "--quiet", "--set", "init.n=129",
+                       "--set", "init.lambda0=2e-2", "--set", f"params.{key}=nan")
+        assert code == 2
+        assert f"framework parameter {key} must not be nan" in capsys.readouterr().err
+        assert sorted(f.name for f in out.iterdir()) == ["resolved.config"]
 
     def test_probe_heights_sharing_a_node_exit_2(self, tmp_path, capsys):
         code = run_cli("simulate", "--out", str(tmp_path / "sim"), "--quiet",
@@ -401,6 +417,17 @@ class TestSweep:
         assert run_cli("sweep", "--out", str(out), "--quiet",
                        "--set", "sweep.param=init.lambda0",
                        "--set", "sweep.values=1e-2,abc", *SWEEP_SIMULATE) == 2
+        assert not list(out.glob("sweep_*"))
+
+    # every sub-run's mode is sweep.mode, and no sub-run reads a sweep key,
+    # so sweeping one would run the same sub-run under another label
+    @pytest.mark.parametrize("key, value", [("mode", "alpha0"), ("sweep.mode", "energies"),
+                                            ("sweep.param", "init.n"), ("sweep.values", "1")])
+    def test_unsweepable_key_exits_2_before_any_sub_run(self, tmp_path, capsys, key, value):
+        out = tmp_path / "bad"
+        assert run_cli("sweep", "--out", str(out), "--quiet", "--set", f"sweep.param={key}",
+                       "--set", f"sweep.values={value}", *SWEEP_SIMULATE) == 2
+        assert f"sweep.param {key!r} cannot be swept" in capsys.readouterr().err
         assert not list(out.glob("sweep_*"))
 
     def test_lambda0_outside_its_window_exits_2(self, tmp_path, capsys):

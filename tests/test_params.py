@@ -57,6 +57,15 @@ class TestValidate:
         with pytest.raises(ValueError):
             FrameworkParams(sigma=1, alpha=2.0, h_a=1.5, eps_a=0.6, eps_c=0.7)
 
+    @pytest.mark.parametrize("ref, name", [
+        (reference_sigma0_params, "alpha"), (reference_sigma0_params, "h_c"),
+        (reference_sigma0_params, "z_star"), (reference_sigma1_params, "l"),
+        (reference_sigma1_params, "eps_c"), (reference_sigma1_params, "delta"),
+    ])
+    def test_nan_field_rejected_by_name(self, ref, name):
+        with pytest.raises(ValueError, match=f"framework parameter {name} must not be nan"):
+            ref(**{name: float("nan")})
+
     def test_verdict_json_shape(self):
         rows = validate_params(reference_sigma0_params()).to_json()
         assert all(set(r) == {"condition", "value", "bound", "pass"} for r in rows)

@@ -26,7 +26,7 @@ from petrace.selfsim import (
 from petrace.trace import trace_rhs
 
 
-from helpers import balanced_state, bare_profile_state
+from helpers import balanced_state, bare_profile_state, deep_params
 
 
 class TestScalesClock:
@@ -452,6 +452,50 @@ class TestRun:
         landed = run_selfsim(st, SelfsimConfig(s_end=12.05))
         assert landed.reason == "s_end"
         assert abs(landed.s[-1] - 12.05) <= 1e-12
+
+    # the run loop of both frames: the first row is the start, the last the
+    # state the run stopped at (off the stride too), and a row every stride
+    # steps between; s_end=12.07 takes 5 steps
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("reason", ["s_end", "max_steps"])
+    def test_rows_run_from_the_start_to_the_final_state(self, monkeypatch, reason, stride):
+        st = balanced_state(s0=12.0, n=257, c_amp=1e-4)
+        cfg = dict(s_end=12.07) if reason == "s_end" else dict(s_end=13.0, max_steps=7)
+        taken = []
+
+        def counted(state, ds):
+            taken.append(ds)
+            return step_selfsim(state, ds)
+
+        monkeypatch.setattr(selfsim, "step_selfsim", counted)
+        traj = run_selfsim(st, SelfsimConfig(stride=stride, **cfg))
+        assert traj.reason == reason
+        assert len(taken) % 3 != 0   # the final state lies off the stride of 3
+        assert len(traj.s) == 1 + math.ceil(len(taken) / stride)
+        assert (traj.s[0], traj.lam[0], traj.nu[0], traj.t[0]) == (st.s, st.lam, st.nu, st.t)
+        end = traj.final_state
+        assert (traj.s[-1], traj.lam[-1], traj.nu[-1], traj.t[-1], traj.max_atil[-1]) == (
+            end.s, end.lam, end.nu, end.t, end.atil.max_abs())
+        if reason == "max_steps":
+            assert len(taken) == 7
+        else:
+            assert abs(end.s - 12.07) <= 1e-12
+
+    @pytest.mark.parametrize("with_params", [False, True])
+    def test_csv_trapped_field_is_empty_without_a_verdict(self, tmp_path, with_params):
+        st = balanced_state(s0=12.0, n=257, c_amp=1e-4)
+        traj = run_selfsim(st, SelfsimConfig(s_end=13.0, max_steps=3,
+                                             params=deep_params(0) if with_params else None))
+        path = tmp_path / "trajectory.csv"
+        traj.to_csv(path)
+        rows = path.read_text().splitlines()[1:-1]
+        assert len(rows) == 4
+        trapped = [row.split(",")[-1] for row in rows]
+        assert trapped == ([str(int(v)) for v in traj.trapped] if with_params else [""] * 4)
+        assert set(trapped) <= ({"0", "1"} if with_params else {""})
+        for row in rows:
+            values = row.split(",")[:-1]
+            assert values == [f"{float(x):.17g}" for x in values]
 
     def test_csv_records_stop_reason(self, tmp_path):
         st = balanced_state(s0=12.0, c_amp=1e-4)

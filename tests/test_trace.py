@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from petrace import trace
 from petrace.errors import FitDegenerate, NonFiniteState, TimeStepUnderflow
 from petrace.grid import Field, Grid, definite, integral
 from petrace.trace import (
@@ -234,6 +235,34 @@ class TestRuns:
         assert run_to_time(st, SolverConfig(max_steps=steps), 0.02).reason == "t_max"
         short = run_to_time(st, SolverConfig(max_steps=steps - 1), 0.02)
         assert short.reason == "max_steps" and len(short.t) == steps
+
+    # the run loop of both frames: the first row is the start, the last the
+    # state the run stopped at, and every step between has one row
+    @pytest.mark.parametrize("reason", ["blowup", "t_max", "max_steps"])
+    def test_rows_run_from_the_start_to_the_final_state(self, monkeypatch, reason):
+        st = profile_state(0.5, 0.25, 129)
+        cfg = {"blowup": dict(blowup_cap=8.0), "t_max": dict(t_max=0.02),
+               "max_steps": dict(max_steps=7)}[reason]
+        taken = []
+
+        def counted(*args, **kwargs):
+            res = step(*args, **kwargs)
+            if not res.blowup:
+                taken.append(res.dt)
+            return res
+
+        monkeypatch.setattr(trace, "step", counted)
+        traj = run_to_blowup(st, SolverConfig(**cfg))
+        assert traj.reason == reason
+        assert len(traj.t) == len(taken) + 1 and len(taken) > 1
+        assert (traj.t[0], traj.max_a[0], traj.dt[0], traj.a0[0]) == (
+            st.t, st.max_a, 0.0, st.a.values[0])
+        end = traj.final_state
+        assert (traj.t[-1], traj.max_a[-1], traj.max_c[-1], traj.dt[-1], traj.a0[-1]) == (
+            end.t, end.max_a, end.c.max_abs(), taken[-1], end.a.values[0])
+        assert list(traj.dt[1:]) == taken
+        if reason == "max_steps":
+            assert len(taken) == 7
 
     def test_sigma0_axis_temperature_pinned(self):
         # c(Z=0) stays put when it starts at zero: the axis value is
