@@ -15,17 +15,13 @@ Layout:
 
 from .grid import Field, Grid, antiderivative, derivative, integral
 from .params import FrameworkParams, Verdict, alpha0, fixed_diffusive_choice, validate_params
-from .trace import SolverConfig, TraceState, Trajectory, run_to_blowup, run_to_time, step, trace_rhs
+from .trace import SolverConfig, TraceState, Trajectory, run_to_blowup, run_to_time, step
 from .selfsim import (
-    ModulationRates,
     SelfsimConfig,
     SelfSimilarState,
     build_state,
     decompose,
-    modulation_rates,
-    perturbation_rhs,
     reconstruct,
-    reorthogonalize,
     run_selfsim,
     s_from_lambda,
     step_selfsim,

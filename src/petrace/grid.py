@@ -2,9 +2,10 @@
 
 Both frames are built on the kernels here: cumulative antiderivative,
 finite-difference derivatives, definite integrals and the Crank-Nicolson
-diffusion half step ``cn_half``, which steps with the one second-derivative
-operator ``d2`` applies.  They need numpy alone.  All operations are
-deterministic: identical inputs produce bit-identical outputs.
+diffusion half step ``cn_half``.  ``d2`` applies the one second-derivative
+operator ``cn_half`` steps with; no run calls it, it is the tests' reference
+for ``cn_half``.  They need numpy alone.  All operations are deterministic:
+identical inputs produce bit-identical outputs.
 
 The antiderivative, definite-integral and first-derivative kernels
 (``cumulative``, ``definite``, ``d1``) act along the last axis of their

@@ -31,12 +31,11 @@ import numpy as np
 
 from .errors import (ConstraintLost, DegenerateTrace, NonFiniteState, ScaleFitFailure,
                      TimeStepUnderflow)
-from .grid import Field, Grid, cn_half, cumulative, d1, d1_at_lo, d2, definite
-from .trace import _march, _write_csv
+from .grid import Field, Grid, cn_half, cumulative, d1, d1_at_lo, definite
+from .trace import _march, _rk4, _write_csv
 
 __all__ = [
     "SelfSimilarState",
-    "ModulationRates",
     "SelfsimConfig",
     "SelfsimTrajectory",
     "phi",
@@ -44,10 +43,7 @@ __all__ = [
     "s_from_lambda",
     "decompose",
     "reconstruct",
-    "reorthogonalize",
     "build_state",
-    "modulation_rates",
-    "perturbation_rhs",
     "step_selfsim",
     "stable_ds",
     "run_selfsim",
@@ -188,8 +184,8 @@ class SelfSimilarState:
     @cached_property
     def _stage1(self) -> "_Stage":
         """The first RK stage at this state's own (lam, nu), on the nodes
-        xi/nu, computed once: stable_ds, modulation_rates, perturbation_rhs
-        and step_selfsim all read it.  Its arrays are read-only."""
+        xi/nu, computed once: stable_ds and step_selfsim both read it.  Its
+        arrays are read-only."""
         n, nu = self.grid.n, self.nu
         sg = _scale_rates(self._rows, _lattice(n) / nu, (1.0 / nu) / (n - 1),
                           self.lam, nu, self.sigma)
@@ -203,12 +199,6 @@ class SelfSimilarState:
         profile."""
         g = self.grid
         return definite(phi(g.nodes) + self.atil.values, g.h)
-
-
-@dataclass(frozen=True)
-class ModulationRates:
-    dlog_lambda: float
-    dlog_nu: float
 
 
 # ---------------------------------------------------------------------------
@@ -280,29 +270,6 @@ def _field_rhs(y, sg: _Stage, lam, nu, sigma):
     if sigma == 1:
         rhs[1, 0] = rhs[1, -1] = 0.0
     return rhs
-
-
-def modulation_rates(st: SelfSimilarState) -> ModulationRates:
-    """Log-rates of (lam, nu); their sum is -1 by construction."""
-    sg = st._stage1
-    return ModulationRates(sg.dlam, sg.dnu)
-
-
-def perturbation_rhs(st: SelfSimilarState) -> tuple[Field, Field]:
-    """Time derivative (atil_s, ctil_s) of the perturbation fields at fixed z.
-
-    It uses the state's own modulation rates, with which the nonlocal
-    source cancels the perturbation and its slope at z = 0 to round-off.
-    """
-    sg = st._stage1
-    y = st._rows
-    # at fixed z the domain stretch transports too, and sigma=1 ctil diffuses
-    rhs = _field_rhs(y, sg, st.lam, st.nu, st.sigma) + (sg.dnu * sg.z) * d1(y, sg.h)
-    if st.sigma == 1:
-        rhs[1] += (st.lam / (st.nu * st.nu)) * d2(y[1], sg.h)
-        rhs[1, 0] = rhs[1, -1] = 0.0  # the stretch moved ctil's Dirichlet ends
-    g = st.grid
-    return Field(g, rhs[0]), Field(g, rhs[1])
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +402,6 @@ def build_state(atil: Field, ctil: Field, lam: float, nu: float, s: float,
     return _repin(np.exp(-g.nodes) + atil.values, ctil.values, lam, sigma, s, t)
 
 
-def reorthogonalize(st: SelfSimilarState) -> SelfSimilarState:
-    """Re-pin the scales so the perturbation and its discrete slope vanish
-    at z = 0 exactly, moving to the grid of the re-pinned scale."""
-    return build_state(st.atil, st.ctil, st.lam, st.nu, st.s, st.sigma, st.t)
-
-
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
@@ -459,7 +420,8 @@ def _exp_scales(loglam, lognu):
 
 
 def step_selfsim(st: SelfSimilarState, ds: float) -> SelfSimilarState:
-    """One RK4 step of (atil, ctil, log lam, log nu) over ds at fixed xi = nu z.
+    """One step over ds of (atil, ctil, log lam, log nu, t) at fixed xi = nu z,
+    by the RK4 of both frames, trace._rk4 (dt/ds = lam).
 
     Each stage evaluates the right-hand side on the nodes z = xi/nu of its
     own nu, so the domain stretch belongs to the frame and the transport
@@ -492,22 +454,13 @@ def step_selfsim(st: SelfSimilarState, ds: float) -> SelfSimilarState:
         y[1] = cn_half(y[1], sg.h, 0.5 * ds * lam / (nu * nu))
         sg = _with_ctil(sg, y[1], lam, nu, sigma)
 
-    def f(y, loglam, lognu):
+    def f(y, loglam, lognu, t):
         la, nn = _exp_scales(loglam, lognu)
         sg = _scale_rates(y, xi / nn, (1.0 / nn) / (n - 1), la, nn, sigma)
         return _field_rhs(y, sg, la, nn, sigma), sg.dlam, sg.dnu, la
 
-    loglam, lognu = math.log(lam), math.log(nu)
     k1 = _field_rhs(y, sg, lam, nu, sigma), sg.dlam, sg.dnu, lam
-    k2 = f(y + 0.5 * ds * k1[0], loglam + 0.5 * ds * k1[1], lognu + 0.5 * ds * k1[2])
-    k3 = f(y + 0.5 * ds * k2[0], loglam + 0.5 * ds * k2[1], lognu + 0.5 * ds * k2[2])
-    k4 = f(y + ds * k3[0], loglam + ds * k3[1], lognu + ds * k3[2])
-
-    c6 = ds / 6.0
-    y = y + c6 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    loglam += c6 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    lognu += c6 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    t = st.t + c6 * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+    y, loglam, lognu, t = _rk4(f, (y, math.log(lam), math.log(nu), st.t), ds, k1)
     lam, nu = _exp_scales(loglam, lognu)
     h = (1.0 / nu) / (n - 1)
 

@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FitDegenerate, NonFiniteState, TimeStepUnderflow
-from .grid import Field, Grid, cn_half, cumulative, d1, d1_at_lo, d2, definite
+from .grid import Field, Grid, cn_half, cumulative, d1, d1_at_lo, definite
 
 __all__ = ["TraceState", "SolverConfig", "StepResult", "Trajectory",
-           "trace_rhs", "step", "run_to_blowup", "run_to_time"]
+           "step", "run_to_blowup", "run_to_time"]
 
 _CSV_HEADER = "t,max_a,max_c,mean_a,dt,a0,aZ0"
 _PROBE_TAG = "a@"          # a probe column is named a@<Z>
@@ -82,10 +82,10 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.dt_safety <= 1.0):
             raise ValueError("dt_safety must lie in (0, 1]")
-        if self.blowup_cap is not None and self.blowup_cap <= 0:
-            raise ValueError("blowup_cap must be positive")
-        if not self.dt_floor > 0:
-            raise ValueError(f"dt_floor must be positive, got {self.dt_floor!r}")
+        if self.blowup_cap is not None and not self.blowup_cap > 0:
+            raise ValueError(f"blowup_cap must be positive, got {self.blowup_cap!r}")
+        if not 0 < self.dt_floor < math.inf:
+            raise ValueError(f"dt_floor must be positive and finite, got {self.dt_floor!r}")
         if math.isnan(self.t_max):
             raise ValueError("t_max must not be nan")
         if self.max_steps < 1:
@@ -132,26 +132,21 @@ def _rhs(u, h, sigma, P=None):
     return k
 
 
-def trace_rhs(state: TraceState) -> tuple[Field, Field]:
-    """Instantaneous time derivative (da, dc) of the trace system."""
-    u = np.stack((state.a.values, state.c.values))
-    da, dc = _rhs(u, state.grid.h, state.sigma)
-    if state.sigma == 1:
-        dc += d2(u[1], state.grid.h)
-    return Field(state.grid, da), Field(state.grid, dc)
-
-
 # ---------------------------------------------------------------------------
 # time stepping
 # ---------------------------------------------------------------------------
 
-def _rk4(u, h, sigma, dt, P1):
-    # P1 is the stage-1 antiderivative, already computed for the step size.
-    k1 = _rhs(u, h, sigma, P=P1)
-    k2 = _rhs(u + 0.5 * dt * k1, h, sigma)
-    k3 = _rhs(u + 0.5 * dt * k2, h, sigma)
-    k4 = _rhs(u + dt * k3, h, sigma)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(f, x, dt, k1):
+    """One classical RK4 step over dt of x' = f(*x), the step of both frames.
+
+    x is a tuple of arrays and floats and f returns their derivatives as a
+    tuple; k1 is f(*x), which both frames have already computed."""
+    k2 = f(*(xi + 0.5 * dt * ki for xi, ki in zip(x, k1)))
+    k3 = f(*(xi + 0.5 * dt * ki for xi, ki in zip(x, k2)))
+    k4 = f(*(xi + dt * ki for xi, ki in zip(x, k3)))
+    c6 = dt / 6.0
+    return tuple(xi + c6 * (a + 2.0 * b + 2.0 * c + d)
+                 for xi, a, b, c, d in zip(x, k1, k2, k3, k4))
 
 
 def stable_dt(state: TraceState, cfg: SolverConfig, A: np.ndarray) -> float:
@@ -186,7 +181,7 @@ def step(state: TraceState, cfg: SolverConfig, dt_cap: float | None = None) -> S
     if state.max_a >= cap:
         return StepResult(state, 0.0, True)
 
-    h = state.grid.h
+    h, sigma = state.grid.h, state.sigma
     u = np.stack((state.a.values, state.c.values))
     P = cumulative(u, h)
     dt = stable_dt(state, cfg, P[0])
@@ -195,11 +190,11 @@ def step(state: TraceState, cfg: SolverConfig, dt_cap: float | None = None) -> S
     if dt < cfg.dt_floor:
         raise TimeStepUnderflow(f"dt={dt:g} below floor {cfg.dt_floor:g} at t={state.t:g}")
 
-    if state.sigma == 1:
+    if sigma == 1:
         u[1] = cn_half(u[1], h, 0.5 * dt)
         P[1] = cumulative(u[1], h)
-    un = _rk4(u, h, state.sigma, dt, P)
-    if state.sigma == 1:
+    un, = _rk4(lambda v: (_rhs(v, h, sigma),), (u,), dt, (_rhs(u, h, sigma, P=P),))
+    if sigma == 1:
         un[1] = cn_half(un[1], h, 0.5 * dt)
 
     na = un[0]
@@ -212,8 +207,7 @@ def step(state: TraceState, cfg: SolverConfig, dt_cap: float | None = None) -> S
         raise NonFiniteState(f"non-finite samples after the step from t={state.t:g} "
                              f"over dt={dt:g}")
     g = state.grid
-    new = TraceState(Field._trusted(g, un[0]), Field._trusted(g, un[1]), state.sigma,
-                     state.t + dt)
+    new = TraceState(Field._trusted(g, un[0]), Field._trusted(g, un[1]), sigma, state.t + dt)
     return StepResult(new, dt, False, drift_rate)
 
 

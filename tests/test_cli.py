@@ -280,6 +280,7 @@ class TestModes:
 
     @pytest.mark.parametrize("setting, name", [
         ("solver.dt_floor=nan", "dt_floor"),
+        ("solver.dt_floor=inf", "dt_floor"),
         ("solver.t_max=nan", "t_max"),
     ])
     def test_nan_solver_setting_exits_2(self, tmp_path, capsys, setting, name):

@@ -13,8 +13,13 @@ imports: pyproject.toml lists numpy as the only dependency, and no module of
 the package imports anything outside the standard library, numpy and
 petrace, at any depth of the code, so an import on a path that no run
 executes cannot bring a dependency back either.
+
+The last two guard against dangling names: every name in a module's
+``__all__`` exists, and every backticked ``<module>.<name>`` in README.md
+that names a petrace module resolves to an attribute of it.
 """
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -94,3 +99,45 @@ def test_package_declares_and_imports_numpy_alone():
     outside = {name: sorted(mods - allowed) for name, mods in imported.items()
                if mods - allowed}
     assert not outside, outside
+
+
+PACKAGE = sorted(p.stem for p in (SRC / "petrace").glob("*.py") if p.stem != "__init__")
+# config keys that README names although they are gone
+REMOVED_KEYS = {"solver.upwind", "solver.store_stride", "params.sigma"}
+
+
+def _modules():
+    """The package and every module of it, by the name README uses."""
+    mods = {name: importlib.import_module(f"petrace.{name}") for name in PACKAGE}
+    mods["petrace"] = importlib.import_module("petrace")
+    return mods
+
+
+def _dangling(text):
+    """The backticked ``<module>.<name>`` tokens of text that name a petrace
+    module but no attribute of it; CLI keys are not module paths."""
+    from petrace.cli import REGISTRY
+
+    mods = _modules()
+    out = []
+    for token in re.findall(r"`(\w+(?:\.\w+)+)`", text):
+        head, *rest = token.split(".")
+        if head not in mods or token in REGISTRY or token in REMOVED_KEYS:
+            continue
+        obj = mods[head]
+        for name in rest:
+            obj = getattr(obj, name, None)
+        if obj is None:
+            out.append(token)
+    return out
+
+
+def test_every_public_name_exists():
+    missing = [f"{name}.{attr}" for name, mod in _modules().items()
+               for attr in getattr(mod, "__all__", ()) if not hasattr(mod, attr)]
+    assert not missing, missing
+
+
+def test_readme_names_resolve():
+    assert _dangling("`selfsim.no_such_name` and `trace._rk4`") == ["selfsim.no_such_name"]
+    assert not _dangling((ROOT / "README.md").read_text())

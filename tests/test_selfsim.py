@@ -3,28 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from petrace import selfsim
+from petrace import selfsim, trace
 from petrace.errors import ConstraintLost, DegenerateTrace, NonFiniteState
-from petrace.grid import Field, Grid, antiderivative, cumulative, d1_at_lo, definite
+from petrace.grid import Field, Grid, antiderivative, cumulative, d1_at_lo, d2, definite
 from petrace.initial_data import InitialDataSpec, build_profile_data
 from petrace.selfsim import (
     SelfsimConfig,
     SelfSimilarState,
     build_state,
     decompose,
-    modulation_rates,
-    perturbation_rhs,
     phi,
     psi,
     reconstruct,
-    reorthogonalize,
     run_selfsim,
     s_from_lambda,
     stable_ds,
     step_selfsim,
 )
-from petrace.trace import trace_rhs
-
 
 from helpers import balanced_state, bare_profile_state, deep_params
 
@@ -193,24 +188,33 @@ class TestReconstruct:
         assert errs[1] <= errs[0] / 3.0
 
 
-class TestModulationRates:
+def field_rhs(st):
+    """The stepper's right-hand side of the state's stacked rows (atil,
+    ctil) at fixed xi = nu z, from its first stage, without the sigma=1
+    diffusion."""
+    return selfsim._field_rhs(st._rows, st._stage1, st.lam, st.nu, st.sigma)
+
+
+class TestScaleRates:
+    """The log-rates (dlam, dnu) of (lam, nu) in a state's first stage."""
+
     def test_zero_perturbation_closed_form(self):
         nu = 0.125
         st = bare_profile_state(nu=nu, n=8193)
-        r = modulation_rates(st)
+        r = st._stage1
         expected = -1.0 + nu * (1.0 - math.exp(-2.0 / nu))
-        assert abs(r.dlog_lambda - expected) <= 1e-9
-        assert r.dlog_nu == -1.0 - r.dlog_lambda
+        assert abs(r.dlam - expected) <= 1e-9
+        assert r.dnu == -1.0 - r.dlam
 
     def test_sigma_match_when_ctil_zero(self):
-        r0 = modulation_rates(bare_profile_state(sigma=0))
-        r1 = modulation_rates(bare_profile_state(sigma=1))
-        assert r0.dlog_lambda == r1.dlog_lambda
+        r0 = bare_profile_state(sigma=0)._stage1
+        r1 = bare_profile_state(sigma=1)._stage1
+        assert r0.dlam == r1.dlam
 
     def test_rate_identity(self):
         st = balanced_state(s0=10.0, c_amp=1e-3)
-        r = modulation_rates(st)
-        assert abs(r.dlog_lambda + r.dlog_nu + 1.0) <= 1e-12
+        r = st._stage1
+        assert abs(r.dlam + r.dnu + 1.0) <= 1e-12
 
     def test_random_perturbation_vs_fine_grid(self):
         rng = np.random.default_rng(11)
@@ -224,41 +228,44 @@ class TestModulationRates:
             ctil[0] = 0.0
             return SelfSimilarState(Field(g, atil), Field(g, ctil), 0.01, nu, 7.0, 0)
 
-        coarse = modulation_rates(build(1025))
-        fine = modulation_rates(build(16385))
-        assert abs(coarse.dlog_lambda - fine.dlog_lambda) <= 1e-6
+        coarse = build(1025)._stage1
+        fine = build(16385)._stage1
+        assert abs(coarse.dlam - fine.dlam) <= 1e-6
 
 
 class TestPerturbationRhs:
     def test_zero_perturbation_source(self):
+        # on a bare profile the domain stretch transports nothing, so this is
+        # the right-hand side at fixed z as well
         nu = 0.125
         st = bare_profile_state(nu=nu, n=4097)
-        r = modulation_rates(st)
-        da, dc = perturbation_rhs(st)
+        da, dc = field_rhs(st)
         z = st.grid.nodes
-        A = r.dlog_lambda + 1.0
+        A = st._stage1.dlam + 1.0
         expected = A * ((1.0 + z) * np.exp(-z) - 1.0)
-        assert np.max(np.abs(da.values - expected)) <= 1e-9
-        assert dc.max_abs() == 0.0
+        assert np.max(np.abs(da - expected)) <= 1e-9
+        assert np.max(np.abs(dc)) == 0.0
         # vanishing of the source and its slope at z = 0
-        assert abs(da.values[0]) <= 1e-14
-        assert abs(d1_at_lo(da.values, st.grid.h)) <= 1e-5 * abs(A)
+        assert abs(da[0]) <= 1e-14
+        assert abs(d1_at_lo(da, st.grid.h)) <= 1e-5 * abs(A)
 
     def test_ctil_zero_gives_zero_dctil(self):
         st = balanced_state(s0=9.0, c_amp=0.0, sigma=0)
-        da, dc = perturbation_rhs(st)
-        assert dc.max_abs() == 0.0
+        da, dc = field_rhs(st)
+        assert np.max(np.abs(dc)) == 0.0
 
     def test_sigma1_temperature_rate_vanishes_at_both_ends_in_both_frames(self):
         # c and ctil are held at 0 on the boundary, so their rates are exactly
-        # 0 there, whatever the diffusion and the domain stretch add inside
+        # 0 there, whatever the transport, the sources and the diffusion
+        # (added here with d2, the operator Crank-Nicolson steps with) add inside
         spec = InitialDataSpec(lambda0=1e-3, nu0=1.0 / (2.0 * math.log(1e3)), sigma=1,
                                kappa=0.3, perturbation_family="tail_balance")
         state = build_profile_data(spec, 513)
-        _, dc = trace_rhs(state)
+        u = np.stack((state.a.values, state.c.values))
+        dc = trace._rhs(u, state.grid.h, 1)[1] + d2(state.c.values, state.grid.h)
         ss = decompose(state.a, state.c, 1, spec.s0)
-        _, dctil = perturbation_rhs(ss)
-        for rate in (dc.values, dctil.values):
+        dctil = field_rhs(ss)[1] + (ss.lam / ss.nu**2) * d2(ss.ctil.values, ss.grid.h)
+        for rate in (dc, dctil):
             assert rate[0] == 0.0 and rate[-1] == 0.0
             assert rate[1] != 0.0 and rate[-2] != 0.0
 
@@ -275,15 +282,12 @@ class TestPerturbationRhs:
             return SelfSimilarState(Field(g, atil), Field(g, ctil), 0.02, nu, 6.0, 0)
 
         sts = {n: build(n) for n in (2049, 4097, 8193)}
-        das = {}
-        for n, st in sts.items():
-            da, _ = perturbation_rhs(st)
-            das[n] = da
+        das = {n: field_rhs(st)[0] for n, st in sts.items()}
         # the 2049-node grid is every 2nd node of 4097 and every 4th of 8193
-        mid = das[4097].values[::2]
-        fine = das[8193].values[::4]
+        mid = das[4097][::2]
+        fine = das[8193][::4]
         richardson = fine + (fine - mid) / 3.0
-        assert np.max(np.abs(das[2049].values - richardson)) <= 1e-5
+        assert np.max(np.abs(das[2049] - richardson)) <= 1e-5
 
 
 class TestProfileIdentity:

@@ -10,10 +10,11 @@ The tests check that it recovers the scale of a sampled exponential, that
 it zeroes the slope of any five-sample head that has a root, and that a
 head without one raises ScaleFitFailure carrying beta.
 
-A state computes its first RK stage once, on first use, and stable_ds,
-modulation_rates and step_selfsim share it.  The tests below check that
-sharing it changes no bit: against a fresh evaluation, with and without a
-prior stable_ds, and for a run against the hand-written loop.
+A state computes its first RK stage once, on first use, and stable_ds and
+step_selfsim share it.  The tests below check that sharing it changes no
+bit: the step size and the stage's rates of (lam, nu) against a fresh
+evaluation, a step with and without a prior stable_ds, and a run against
+the hand-written loop.
 """
 import math
 
@@ -34,9 +35,7 @@ from petrace.selfsim import (
     _with_ctil,
     build_state,
     decompose,
-    modulation_rates,
     reconstruct,
-    reorthogonalize,
     run_selfsim,
     s_from_lambda,
     stable_ds,
@@ -86,7 +85,7 @@ def test_decompose_reconstruct_roundtrip_is_nodal(n, nu, lam, eps, c_amp, sigma)
 @settings(max_examples=60, deadline=None)
 @given(n=node_counts, nu=scales, lam=amplitudes, eps=bumps,
        c_amp=temperatures, sigma=sigmas)
-def test_reorthogonalize_is_idempotent(n, nu, lam, eps, c_amp, sigma):
+def test_build_state_is_idempotent(n, nu, lam, eps, c_amp, sigma):
     g = Grid(0.0, 1.0 / nu, n)
     z = g.nodes
     atil = eps * z * np.exp(-z) + 0.1 * eps * z**2 * np.exp(-z)
@@ -95,7 +94,7 @@ def test_reorthogonalize_is_idempotent(n, nu, lam, eps, c_amp, sigma):
         ctil *= 1.0 - z / z[-1]
         ctil[-1] = 0.0
     once = build_state(Field(g, atil), Field(g, ctil), lam, nu, 5.0, sigma)
-    twice = reorthogonalize(once)
+    twice = build_state(once.atil, once.ctil, once.lam, once.nu, once.s, sigma, once.t)
     # a pinned state has atil(0) = 0 exactly, so lam and ctil do not move;
     # nu moves only by the round-off left in the discrete slope at z = 0
     assert twice.lam == once.lam
@@ -244,8 +243,7 @@ def test_stable_ds_and_rates_equal_a_fresh_stage_bitwise(state):
     sg = fresh_stage(state)
     speed = sg.dnu * sg.z + sg.em1 - sg.P0
     assert stable_ds(state, 0.3) == 0.3 * sg.h / max(1.0, float(np.max(np.abs(speed))))
-    rates = modulation_rates(state)
-    assert (rates.dlog_lambda, rates.dlog_nu) == (sg.dlam, sg.dnu)
+    assert (state._stage1.dlam, state._stage1.dnu) == (sg.dlam, sg.dnu)
     # after the sigma=1 leading half step only ctil changes; the shortcut
     # that keeps the atil parts is bitwise a fresh evaluation too
     vc = 0.5 * state.ctil.values

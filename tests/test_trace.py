@@ -5,7 +5,7 @@ import pytest
 
 from petrace import trace
 from petrace.errors import FitDegenerate, NonFiniteState, TimeStepUnderflow
-from petrace.grid import Field, Grid, definite, integral
+from petrace.grid import Field, Grid, d2, definite, integral
 from petrace.trace import (
     SolverConfig,
     TraceState,
@@ -13,7 +13,6 @@ from petrace.trace import (
     run_to_blowup,
     run_to_time,
     step,
-    trace_rhs,
 )
 
 UNIT = lambda n: Grid(0.0, 1.0, n)
@@ -61,11 +60,17 @@ class TestStateInvariants:
             TraceState(Field(g, np.zeros(64)), Field(g, np.zeros(64)), 0)
 
 
+def rhs_rows(state):
+    """The stepper's right-hand side on the state's stacked rows (a, c):
+    everything but the sigma=1 diffusion."""
+    return trace._rhs(np.stack((state.a.values, state.c.values)), state.grid.h, state.sigma)
+
+
 class TestTraceRhs:
     def test_zero_state(self):
-        da, dc = trace_rhs(zero_state())
-        assert da.max_abs() == 0.0
-        assert dc.max_abs() == 0.0
+        da, dc = rhs_rows(zero_state())
+        assert np.max(np.abs(da)) == 0.0
+        assert np.max(np.abs(dc)) == 0.0
 
     def test_sine_temperature_closed_form(self):
         # a = 0, c = sin(pi Z), sigma=1:
@@ -75,14 +80,16 @@ class TestTraceRhs:
         g = UNIT(n)
         Z = g.nodes
         st = TraceState(Field(g, np.zeros(n)), Field(g, np.sin(np.pi * Z)), 1)
-        da, dc = trace_rhs(st)
-        assert np.max(np.abs(da.values - np.cos(np.pi * Z) / np.pi)) <= 1e-9
+        da, dc = rhs_rows(st)
+        # the stepper applies the diffusion by Crank-Nicolson with d2's operator
+        dc += d2(st.c.values, g.h)
+        assert np.max(np.abs(da - np.cos(np.pi * Z) / np.pi)) <= 1e-9
         exact_dc = -np.pi**2 * np.sin(np.pi * Z)
         exact_dc[0] = exact_dc[-1] = 0.0
-        assert np.max(np.abs(dc.values - exact_dc)) <= 1e-3
+        assert np.max(np.abs(dc - exact_dc)) <= 1e-3
         # interior second derivative is the only O(h^2) piece
         interior = slice(4, -4)
-        assert np.max(np.abs(dc.values[interior] - exact_dc[interior])) <= 5e-4
+        assert np.max(np.abs(dc[interior] - exact_dc[interior])) <= 5e-4
 
     def test_cosine_velocity_vs_fine_grid_oracle(self):
         # a = cos(2 pi Z) is zero-mean; da vanishes identically in the
@@ -91,13 +98,32 @@ class TestTraceRhs:
             g = UNIT(n)
             return TraceState(Field(g, np.cos(2 * np.pi * g.nodes)), Field(g, np.zeros(n)), 0)
 
-        da_coarse, _ = trace_rhs(build(1025))
-        da_fine, _ = trace_rhs(build(16385))
+        da_coarse, _ = rhs_rows(build(1025))
+        da_fine, _ = rhs_rows(build(16385))
         # every 16th fine node is a coarse node
-        assert np.max(np.abs(da_coarse.values - da_fine.values[::16])) <= 1e-4
+        assert np.max(np.abs(da_coarse - da_fine[::16])) <= 1e-4
 
 
 class TestStep:
+    def test_rk4_is_the_quartic_taylor_step_of_a_linear_system(self):
+        # on x' = k x, for an (array, float) pair, one RK4 step multiplies x
+        # by the degree-4 Taylor polynomial of exp(z), z = k dt; the given
+        # k1 is used, so f is called for stages 2-4 only
+        ka, kb, dt = np.array([-1.5, 0.5, 2.0]), -0.75, 0.1
+        calls = []
+
+        def f(va, vb):
+            calls.append((va, vb))
+            return ka * va, kb * vb
+
+        x = (np.array([1.0, -2.0, 3.0]), 0.8)
+        va, vb = trace._rk4(f, x, dt, (ka * x[0], kb * x[1]))
+        assert len(calls) == 3
+        assert isinstance(vb, float)
+        for got, x0, z in ((va, x[0], ka * dt), (vb, x[1], kb * dt)):
+            taylor = x0 * (1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
+            assert np.all(np.abs(got - taylor) <= 4 * np.finfo(float).eps * np.abs(taylor))
+
     def test_zero_state_unchanged(self):
         st = zero_state()
         res = step(st, SolverConfig(blowup_cap=10.0))
@@ -181,7 +207,8 @@ class TestRuns:
             SolverConfig(max_steps=bad)
 
     @pytest.mark.parametrize("field, bad", [("dt_floor", 0.0), ("dt_floor", -1e-15),
-                                            ("dt_floor", math.nan), ("t_max", math.nan)])
+                                            ("dt_floor", math.nan), ("dt_floor", math.inf),
+                                            ("t_max", math.nan), ("blowup_cap", math.nan)])
     def test_config_rejects_bad_dt_floor_and_nan_t_max(self, field, bad):
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: bad})
