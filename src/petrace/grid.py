@@ -82,11 +82,18 @@ class Field:
 # inner loops)
 # ---------------------------------------------------------------------------
 
-def _simpson_pairs(v: np.ndarray, h: float, m: int) -> np.ndarray:
-    """Composite-Simpson integrals over the m node pairs [2i, 2i+2]."""
-    pair = 4.0 * v[..., 1:2 * m:2]
-    pair += v[..., 0:2 * m - 1:2]
-    pair += v[..., 2:2 * m + 1:2]
+def _pair_nodes(v: np.ndarray, m: int):
+    """The samples at the nodes 2i, 2i+1 and 2i+2 of the m node pairs
+    along the last axis, as strided views."""
+    return v[..., 0:2 * m - 1:2], v[..., 1:2 * m:2], v[..., 2:2 * m + 1:2]
+
+
+def _simpson_pairs(lo, mid, hi, h: float) -> np.ndarray:
+    """Composite-Simpson integrals over the node pairs [2i, 2i+2], from the
+    samples lo, mid and hi at their nodes 2i, 2i+1 and 2i+2."""
+    pair = 4.0 * mid
+    pair += lo
+    pair += hi
     pair *= h / 3.0
     return pair
 
@@ -105,13 +112,15 @@ def cumulative(v: np.ndarray, h: float) -> np.ndarray:
     g[..., 0] = 0.0
     m = (n - 1) // 2
     if m > 0:
-        np.add.accumulate(_simpson_pairs(v, h, m), axis=-1, out=g[..., 2:2 * m + 1:2])
-        half = 5.0 * v[..., 0:2 * m - 1:2]
-        half += 8.0 * v[..., 1:2 * m:2]
-        half -= v[..., 2:2 * m + 1:2]
+        # the pair nodes, read twice, as contiguous copies: numpy sets up a
+        # ufunc on contiguous rows of a stack faster than on strided ones
+        lo, mid, hi = map(np.ascontiguousarray, _pair_nodes(v, m))
+        np.add.accumulate(_simpson_pairs(lo, mid, hi, h), axis=-1, out=g[..., 2:2 * m + 1:2])
+        half = 5.0 * lo
+        half += 8.0 * mid
+        half -= hi
         half *= h / 12.0
-        half += g[..., 0:2 * m - 1:2]
-        g[..., 1:2 * m:2] = half
+        np.add(half, g[..., 0:2 * m - 1:2], out=g[..., 1:2 * m:2])
     if n % 2 == 0:
         g[..., -1:] = g[..., -2:-1] + 0.5 * h * (v[..., -2:-1] + v[..., -1:])
     return g
@@ -129,14 +138,14 @@ def definite(v: np.ndarray, h: float) -> float | np.ndarray:
     n = v.shape[-1]
     m = (n - 1) // 2
     if v.ndim > 1:
-        total = (np.add.accumulate(_simpson_pairs(v, h, m), axis=-1)[..., -1] if m > 0
-                 else np.zeros(v.shape[:-1]))
+        total = (np.add.accumulate(_simpson_pairs(*_pair_nodes(v, m), h), axis=-1)[..., -1]
+                 if m > 0 else np.zeros(v.shape[:-1]))
         if n % 2 == 0:
             total = total + 0.5 * h * (v[..., -2] + v[..., -1])
         return total
     total = 0.0
     if m > 0:
-        total = np.add.accumulate(_simpson_pairs(v, h, m))[-1]
+        total = np.add.accumulate(_simpson_pairs(*_pair_nodes(v, m), h))[-1]
     if n % 2 == 0:
         total = total + 0.5 * h * (v[-2] + v[-1])
     return float(total)
@@ -154,23 +163,39 @@ _D1_EDGE_W = np.array([[-25.0, -3.0, 3.0, 25.0], [48.0, -10.0, 10.0, -48.0],
 _D1_EDGE_OUT = np.array([0, 1, -2, -1])
 
 
+@lru_cache(maxsize=8)
+def _d1_edges(rows: int, n: int):
+    """The edge stencils of d1 on ``rows`` rows of n samples, flattened:
+    the input nodes (5, 4 rows), their weights and the output node of
+    each column (read-only).  Flat indices gather and scatter faster than
+    indexing along the last axis."""
+    start = np.arange(rows)[:, None] * n
+    nodes = ((_D1_EDGE_IN % n)[:, None, :] + start).reshape(5, -1)
+    out = ((_D1_EDGE_OUT % n) + start).reshape(-1)
+    tables = nodes, np.tile(_D1_EDGE_W, rows), out
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def d1(v: np.ndarray, h: float) -> np.ndarray:
     """First derivative along the last axis, 4th order: 5-point central
     interior, one-sided at the edges."""
     out = np.empty(v.shape)
-    c = 1.0 / (12.0 * h)
-    # the central stencil runs once over the flattened rows; the two nodes
-    # at each end of a row mix neighbouring rows there and are overwritten
-    # by the edge stencils below
-    w = v.reshape(-1)
-    inner = w[:-4] - 8.0 * w[1:-3]
-    inner += 8.0 * w[3:-1]
+    w, o = v.reshape(-1), out.reshape(-1)
+    # the central stencil runs once over the flattened rows, straight into
+    # out; the two nodes at each end of a row mix neighbouring rows there
+    # and are overwritten by the edge stencils below
+    w8 = 8.0 * w
+    inner = o[2:-2]
+    np.subtract(w[:-4], w8[1:-3], out=inner)
+    inner += w8[3:-1]
     inner -= w[4:]
-    inner *= c
-    out.reshape(-1)[2:-2] = inner
-    edge = v[..., _D1_EDGE_IN]
-    edge *= _D1_EDGE_W
-    out[..., _D1_EDGE_OUT] = np.add.reduce(edge, axis=-2) * c
+    nodes, weights, ends = _d1_edges(w.size // v.shape[-1], v.shape[-1])
+    edge = w[nodes]
+    edge *= weights
+    o[ends] = np.add.reduce(edge, axis=0)
+    o *= 1.0 / (12.0 * h)
     return out
 
 

@@ -34,16 +34,25 @@ _BC_TOL = 1e-10
 
 @dataclass(frozen=True)
 class TraceState:
-    """Trace fields on Z in [0,1] at physical time t."""
+    """Trace fields on Z in [0,1] at physical time t.
+
+    The samples live in one read-only (2, n) array of the rows (a, c),
+    which the stepper reads without stacking them again."""
 
     a: Field
     c: Field
     sigma: int
     t: float = 0.0
-    # integral of a over [0, 1] (its mean) and max|a|, computed once by the
-    # validation below and reused by the stepper and the run recorder
+    # The stacked (a, c) samples, of which a and c are views, and their
+    # running integrals D^-1 (a, c), which the step's first RK stage needs,
+    # both read-only; the integral of a over [0, 1] (its mean, the last
+    # entry of D^-1 a), max|a| and max|c|.  All are found once, by _adopt,
+    # and reused by the stepper and the run recorder.
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _P: np.ndarray = field(init=False, repr=False, compare=False)
     mean_a: float = field(init=False, repr=False, compare=False)
     max_a: float = field(init=False, repr=False, compare=False)
+    max_c: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sigma not in (0, 1):
@@ -53,16 +62,34 @@ class TraceState:
             raise ValueError("a and c must share a grid")
         if abs(ga.lo) > 1e-12 or abs(ga.hi - 1.0) > 1e-12:
             raise ValueError("trace fields live on [0, 1]")
-        mean = definite(self.a.values, ga.h)
-        amax = self.a.max_abs()
-        if abs(mean) > _MEAN_TOL * max(1.0, amax):
+        rows = np.stack((self.a.values, self.c.values))
+        self._adopt(rows, ga, *np.abs(rows).max(axis=1).tolist())
+
+    @classmethod
+    def _from_rows(cls, rows, g, sigma, t, max_a, max_c) -> TraceState:
+        """The state on the stacked finite rows (a, c) on grid g, with
+        max_a = max|a| and max_c = max|c|: the step's constructor, which
+        skips the checks of the grid and the copies Field makes."""
+        st = object.__new__(cls)
+        st.__dict__.update(sigma=sigma, t=t)
+        st._adopt(rows, g, max_a, max_c)
+        return st
+
+    def _adopt(self, rows, g, max_a, max_c):
+        """Take the stacked finite rows (a, c) on grid g, with their maxima,
+        as the samples, without a copy, after the checks every state passes:
+        the compatibility condition and, for sigma=1, c = 0 at both ends."""
+        P = cumulative(rows, g.h)
+        mean = float(P[0, -1])  # definite(a), bit for bit
+        if abs(mean) > _MEAN_TOL * max(1.0, max_a):
             raise ValueError(f"compatibility condition violated: integral(a) = {mean:g}")
-        object.__setattr__(self, "mean_a", mean)
-        object.__setattr__(self, "max_a", amax)
         if self.sigma == 1:
-            cscale = max(1.0, self.c.max_abs())
-            if abs(self.c.values[0]) > _BC_TOL * cscale or abs(self.c.values[-1]) > _BC_TOL * cscale:
+            cscale = max(1.0, max_c)
+            if abs(rows[1, 0]) > _BC_TOL * cscale or abs(rows[1, -1]) > _BC_TOL * cscale:
                 raise ValueError("sigma=1 requires c(0) = c(1) = 0")
+        rows.flags.writeable = P.flags.writeable = False
+        self.__dict__.update(a=Field._trusted(g, rows[0]), c=Field._trusted(g, rows[1]),
+                             _rows=rows, _P=P, mean_a=mean, max_a=max_a, max_c=max_c)
 
     @property
     def grid(self) -> Grid:
@@ -82,8 +109,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.dt_safety <= 1.0):
             raise ValueError("dt_safety must lie in (0, 1]")
-        if self.blowup_cap is not None and not self.blowup_cap > 0:
-            raise ValueError(f"blowup_cap must be positive, got {self.blowup_cap!r}")
+        if self.blowup_cap is not None and not 0 < self.blowup_cap < math.inf:
+            raise ValueError(f"blowup_cap must be positive and finite, got {self.blowup_cap!r}")
         if not 0 < self.dt_floor < math.inf:
             raise ValueError(f"dt_floor must be positive and finite, got {self.dt_floor!r}")
         if math.isnan(self.t_max):
@@ -110,25 +137,30 @@ def _rhs(u, h, sigma, P=None):
     """Time derivative of the stacked state u = (a, c), shape (2, n), but
     for the sigma=1 diffusion, which the stepper applies by Crank-Nicolson.
 
-    P, if given, is ``cumulative(u, h)``: the running integrals (A, C)."""
+    P, if given, holds the running integrals (A, C) of u, as
+    ``cumulative(u, h)`` gives them."""
     if P is None:
         P = cumulative(u, h)
     va, vc = u
     A, C = P
     sq = va * va
-    K = definite(2.0 * sq - C, h)
-    # k starts as the transport terms -A u_Z; adding the sources in place
-    # gives the same floating-point sums as a^2 - A a_Z - C - K and
-    # 2 a c - A c_Z
+    w = 2.0 * sq
+    w -= C
+    K = definite(w, h)
+    # k starts as the transport products A u_Z; the sources minus them,
+    # formed in place, are the same floating-point sums as
+    # a^2 - A a_Z - C - K and 2 a c - A c_Z
     k = d1(u, h)
-    k *= -A
-    k[0] += sq
-    k[0] -= C
-    k[0] -= K
-    k[1] += 2.0 * va * vc
+    k *= A
+    ka, kc = k
+    np.subtract(sq, ka, out=ka)
+    ka -= C
+    ka -= K
+    np.multiply(va, 2.0, out=w)
+    w *= vc
+    np.subtract(w, kc, out=kc)
     if sigma == 1:
-        k[1, 0] = 0.0
-        k[1, -1] = 0.0
+        kc[0] = kc[-1] = 0.0
     return k
 
 
@@ -140,22 +172,51 @@ def _rk4(f, x, dt, k1):
     """One classical RK4 step over dt of x' = f(*x), the step of both frames.
 
     x is a tuple of arrays and floats and f returns their derivatives as a
-    tuple; k1 is f(*x), which both frames have already computed."""
-    k2 = f(*(xi + 0.5 * dt * ki for xi, ki in zip(x, k1)))
-    k3 = f(*(xi + 0.5 * dt * ki for xi, ki in zip(x, k2)))
-    k4 = f(*(xi + dt * ki for xi, ki in zip(x, k3)))
+    tuple of new arrays and floats; k1 is f(*x), which both frames have
+    already computed.  x and k1 are left as they are.
+
+    An array component is combined in place, term by term in the order of
+    x + dt/6 (k1 + 2 k2 + 2 k3 + k4), so it has the same bits: one buffer
+    per component holds each stage's input, and finally the result.  So f
+    must not keep its argument, and the result shares no memory with x or
+    k1.  Floats keep the scalar expressions."""
+    bufs = [np.empty_like(xi) if isinstance(xi, np.ndarray) else None for xi in x]
+
+    def stage(k, c):
+        y = []
+        for xi, ki, buf in zip(x, k, bufs):
+            if buf is None:
+                y.append(xi + c * ki)
+            else:
+                np.multiply(ki, c, out=buf)
+                buf += xi
+                y.append(buf)
+        return f(*y)
+
+    k2 = stage(k1, 0.5 * dt)
+    k3 = stage(k2, 0.5 * dt)
+    k4 = stage(k3, dt)
     c6 = dt / 6.0
-    return tuple(xi + c6 * (a + 2.0 * b + 2.0 * c + d)
-                 for xi, a, b, c, d in zip(x, k1, k2, k3, k4))
+    out = []
+    for xi, a, b, c, d, buf in zip(x, k1, k2, k3, k4, bufs):
+        if buf is None:
+            out.append(xi + c6 * (a + 2.0 * b + 2.0 * c + d))
+            continue
+        np.multiply(b, 2.0, out=buf)
+        buf += a
+        c *= 2.0  # k3 is f's own array
+        buf += c
+        buf += d
+        buf *= c6
+        buf += xi
+        out.append(buf)
+    return tuple(out)
 
 
-def stable_dt(state: TraceState, cfg: SolverConfig, A: np.ndarray) -> float:
-    """Advective/reactive step size: dt_safety * min(1, h / max|D^-1 a|, 1 / max|a|).
-
-    A is D^-1 a, ``cumulative(state.a.values, h)``, which the step's first
-    RK stage needs as well."""
+def stable_dt(state: TraceState, cfg: SolverConfig) -> float:
+    """Advective/reactive step size: dt_safety * min(1, h / max|D^-1 a|, 1 / max|a|)."""
     amax = state.max_a
-    Amax = float(np.max(np.abs(A)))
+    Amax = float(np.abs(state._P[0]).max())
     dt = 1.0
     if Amax > 0.0:
         dt = min(dt, state.grid.h / Amax)
@@ -172,6 +233,8 @@ def step(state: TraceState, cfg: SolverConfig, dt_cap: float | None = None) -> S
     steps (Strang splitting), which leave c exactly 0 at both ends.
     Afterwards the spatial mean of a is projected out.  If the state already
     exceeds the blow-up cap, no step is taken and the blow-up flag is set.
+    The step reads the state's stacked rows and running integrals, and
+    the stepped state passes the checks of a constructed one.
 
     Raises TimeStepUnderflow when the stable step falls below
     ``cfg.dt_floor``, and NonFiniteState when a sample of the result is not
@@ -182,17 +245,17 @@ def step(state: TraceState, cfg: SolverConfig, dt_cap: float | None = None) -> S
         return StepResult(state, 0.0, True)
 
     h, sigma = state.grid.h, state.sigma
-    u = np.stack((state.a.values, state.c.values))
-    P = cumulative(u, h)
-    dt = stable_dt(state, cfg, P[0])
+    u, P = state._rows, state._P
+    dt = stable_dt(state, cfg)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
     if dt < cfg.dt_floor:
         raise TimeStepUnderflow(f"dt={dt:g} below floor {cfg.dt_floor:g} at t={state.t:g}")
 
     if sigma == 1:
+        u = u.copy()  # the state's rows are read-only
         u[1] = cn_half(u[1], h, 0.5 * dt)
-        P[1] = cumulative(u[1], h)
+        P = (P[0], cumulative(u[1], h))
     un, = _rk4(lambda v: (_rhs(v, h, sigma),), (u,), dt, (_rhs(u, h, sigma, P=P),))
     if sigma == 1:
         un[1] = cn_half(un[1], h, 0.5 * dt)
@@ -202,12 +265,13 @@ def step(state: TraceState, cfg: SolverConfig, dt_cap: float | None = None) -> S
     drift_rate = (mean_after - state.mean_a) / dt
     na -= mean_after  # length of [0,1] is 1, so the integral is the mean
 
-    # the check Field makes, in one pass over the stacked rows
-    if not np.isfinite(un).all():
+    # one scan per row: a maximum is NaN or inf when a sample of its row is
+    # not finite, so it is also the check Field makes
+    amax, cmax = np.abs(un).max(axis=1).tolist()
+    if not (amax < math.inf and cmax < math.inf):
         raise NonFiniteState(f"non-finite samples after the step from t={state.t:g} "
                              f"over dt={dt:g}")
-    g = state.grid
-    new = TraceState(Field._trusted(g, un[0]), Field._trusted(g, un[1]), sigma, state.t + dt)
+    new = TraceState._from_rows(un, state.grid, sigma, state.t + dt, amax, cmax)
     return StepResult(new, dt, False, drift_rate)
 
 
@@ -308,7 +372,7 @@ def _probe_indices(grid: Grid, probe_Z):
 def run_to_blowup(state0: TraceState, cfg: SolverConfig) -> Trajectory:
     """Step until max|a| reaches the blow-up cap (or another stop reason)."""
     if cfg.blowup_cap is None:
-        cfg = replace(cfg, blowup_cap=1e6 * max(state0.a.max_abs(), 1e-300))
+        cfg = replace(cfg, blowup_cap=1e6 * max(state0.max_a, 1e-300))
     return _run(state0, cfg)
 
 
@@ -362,7 +426,7 @@ def _run(state0: TraceState, cfg: SolverConfig) -> Trajectory:
     def row(res: StepResult):
         st = res.state
         va = st.a.values
-        return (st.t, st.max_a, st.c.max_abs(), st.mean_a, res.dt, va[0], d1_at_lo(va, h),
+        return (st.t, st.max_a, st.max_c, st.mean_a, res.dt, va[0], d1_at_lo(va, h),
                 res.mean_drift_rate, *va[idx])
 
     arr, last, stop = _march(StepResult(state0, 0.0, False), lambda res: res.state.t,

@@ -282,6 +282,7 @@ class TestModes:
         ("solver.dt_floor=nan", "dt_floor"),
         ("solver.dt_floor=inf", "dt_floor"),
         ("solver.t_max=nan", "t_max"),
+        ("solver.blowup_cap=inf", "blowup_cap"),
     ])
     def test_nan_solver_setting_exits_2(self, tmp_path, capsys, setting, name):
         code = run_cli("simulate", "--out", str(tmp_path / "sim"), "--quiet",

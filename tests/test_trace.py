@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,11 @@ from petrace.trace import (
 )
 
 UNIT = lambda n: Grid(0.0, 1.0, n)
+
+# SHA-256 of the rows and final samples of test_sigma0_run_is_pinned_bitwise.
+# A change that alters the arithmetic of the physical step on purpose
+# updates it and says why.
+SIGMA0_DIGEST = "925303796b4416b6499359063cd8e775b4b3898b218f848d0fefe98340fc21d1"
 
 
 def zero_state(n=129, sigma=0):
@@ -124,6 +130,35 @@ class TestStep:
             taylor = x0 * (1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
             assert np.all(np.abs(got - taylor) <= 4 * np.finfo(float).eps * np.abs(taylor))
 
+    def test_rk4_leaves_its_inputs_and_returns_fresh_arrays(self):
+        # the stages are combined in place, in buffers of the step's own:
+        # read-only inputs are fine, and neither x nor the given k1 is
+        # written or returned
+        ka, kb, dt = np.array([-1.5, 0.5, 2.0]), -0.75, 0.1
+        x = (np.array([1.0, -2.0, 3.0]), 0.8)
+        k1 = (ka * x[0], kb * x[1])
+        x[0].flags.writeable = k1[0].flags.writeable = False
+        x0, k10 = x[0].copy(), k1[0].copy()
+        va, vb = trace._rk4(lambda va, vb: (ka * va, kb * vb), x, dt, k1)
+        assert np.array_equal(x[0], x0) and np.array_equal(k1[0], k10)
+        assert not np.shares_memory(va, x[0]) and not np.shares_memory(va, k1[0])
+        assert isinstance(vb, float)
+
+    # the stepped state is built without the validation; it must carry what
+    # the validation would have found
+    @pytest.mark.parametrize("sigma", [0, 1])
+    def test_stepped_state_equals_a_validated_one(self, sigma):
+        st = profile_state(0.5, 0.25, 129, sigma=sigma, c_amp=0.1)
+        a0, c0 = st.a.values.copy(), st.c.values.copy()
+        new = step(st, SolverConfig()).state
+        g = new.grid
+        ref = TraceState(Field(g, new.a.values), Field(g, new.c.values), sigma, new.t)
+        for name in ("mean_a", "max_a", "max_c"):
+            assert getattr(new, name).hex() == getattr(ref, name).hex(), name
+        for v in (new._rows, new.a.values, new.c.values):
+            assert not v.flags.writeable
+        assert np.array_equal(st.a.values, a0) and np.array_equal(st.c.values, c0)
+
     def test_zero_state_unchanged(self):
         st = zero_state()
         res = step(st, SolverConfig(blowup_cap=10.0))
@@ -179,11 +214,26 @@ class TestStep:
     # a^2 overflows in the first RK stage; the overflow warnings are the point
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("sigma", [0, 1])
-    def test_overflowing_step_raises_non_finite_state(self, sigma):
+    def test_overflowing_step_raises_non_finite_state(self, monkeypatch, sigma):
         st = profile_state(0.5, 0.25, 129, sigma=sigma, c_amp=0.1)
         huge = TraceState(Field(st.grid, 1e200 * st.a.values), st.c, sigma)
         with pytest.raises(NonFiniteState, match="non-finite samples"):
             step(huge, SolverConfig(dt_floor=1e-300))
+        # only c overflows: a huge rate of c in the last RK stage leaves a
+        # finite, so only the scan of the c row can catch it
+        rhs, calls = trace._rhs, []
+
+        def last_stage_overflows_c(u, h, sigma, P=None):
+            k = rhs(u, h, sigma, P)
+            calls.append(k)
+            if len(calls) == 4:
+                k[1, 5] = math.inf
+            return k
+
+        monkeypatch.setattr(trace, "_rhs", last_stage_overflows_c)
+        with pytest.raises(NonFiniteState, match="non-finite samples"):
+            step(st, SolverConfig())
+        assert len(calls) == 4 and np.isfinite(calls[-1][0]).all()
 
     def test_mean_projected_every_step(self):
         st = profile_state(0.2, 0.15, 257, c_amp=0.2)
@@ -208,7 +258,8 @@ class TestRuns:
 
     @pytest.mark.parametrize("field, bad", [("dt_floor", 0.0), ("dt_floor", -1e-15),
                                             ("dt_floor", math.nan), ("dt_floor", math.inf),
-                                            ("t_max", math.nan), ("blowup_cap", math.nan)])
+                                            ("t_max", math.nan), ("blowup_cap", math.nan),
+                                            ("blowup_cap", math.inf)])
     def test_config_rejects_bad_dt_floor_and_nan_t_max(self, field, bad):
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: bad})
@@ -290,6 +341,23 @@ class TestRuns:
         assert list(traj.dt[1:]) == taken
         if reason == "max_steps":
             assert len(taken) == 7
+
+    # polynomial data (+, -, *, / only) and no FFT in a sigma=0 step, so the
+    # digest does not depend on the numpy build (on little-endian hosts)
+    def test_sigma0_run_is_pinned_bitwise(self):
+        n = 257
+        g = UNIT(n)
+        Z = np.arange(n) / (n - 1.0)
+        p = 4.0 * (1.0 - Z) * (1.0 - Z) * (1.0 - Z) - Z * Z
+        a = p - definite(p, g.h)
+        c = Z * Z * (1.0 - Z)
+        traj = run_to_blowup(TraceState(Field(g, a), Field(g, c), 0), SolverConfig(max_steps=200))
+        assert traj.reason == "max_steps" and len(traj.t) == 201
+        rows = np.column_stack([traj.t, traj.max_a, traj.max_c, traj.mean_a, traj.dt, traj.a0,
+                                traj.aZ0, traj.drift_rate, traj.probes])
+        end = traj.final_state
+        digest = hashlib.sha256(rows.tobytes() + end.a.values.tobytes() + end.c.values.tobytes())
+        assert digest.hexdigest() == SIGMA0_DIGEST
 
     def test_sigma0_axis_temperature_pinned(self):
         # c(Z=0) stays put when it starts at zero: the axis value is
