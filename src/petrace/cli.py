@@ -26,51 +26,47 @@ from .params import (FrameworkParams, alpha0, reference_sigma0_params,
                      reference_sigma1_params, validate_params)
 from .trace import SolverConfig, Trajectory, _write_csv, run_to_blowup
 
-MODES = ("simulate", "selfsim", "validate-params", "alpha0", "energies",
-         "fit", "redecompose", "sweep")
-
-# key -> (type tag, default); types: f float, i int, s string
+# key -> default; a value is parsed by the type of its default
 REGISTRY = {
-    "mode": ("s", "alpha0"),
-    "solver.n": ("i", 1025),                    # not read: init.n sets the grid
-    "solver.dt_safety": ("f", 0.5),
-    "solver.blowup_cap": ("f", math.nan),       # nan: 1e6 * max|a0|
-    "solver.dt_floor": ("f", 1e-15),
-    "solver.t_max": ("f", math.inf),
-    "solver.max_steps": ("i", 5_000_000),
-    "solver.probe_z": ("s", "0,0.25,0.5"),
-    "selfsim.s_end": ("f", math.nan),           # nan: s0 + 5
-    "selfsim.ds_safety": ("f", 0.25),
-    "selfsim.stride": ("i", 1),
-    "params.alpha": ("f", 2.0),
-    "params.gamma": ("f", 2.0),
-    "params.k": ("f", 1.5),
-    "params.eta0": ("i", 4),
-    "params.h_a": ("f", 4.0 / 3.0),
-    "params.h_c": ("f", 0.5),
-    "params.l": ("f", 1.0),
-    "params.eps_a": ("f", math.nan),            # nan: the reference value for init.sigma
-    "params.eps_c": ("f", math.nan),            # nan: the reference value for init.sigma
-    "params.M": ("f", 2.0),
-    "params.N": ("f", 4.0),
-    "params.N0": ("f", 3.0),
-    "params.z_star": ("f", 4.0),
-    "params.delta": ("f", 0.1),
-    "init.lambda0": ("f", 1e-3),
-    "init.nu0": ("f", math.nan),                # nan: 1/(2 log(1/lambda0))
-    "init.sigma": ("i", 0),
-    "init.kappa": ("f", 0.0),
-    "init.family": ("s", "none"),
-    "init.seed": ("i", 0),
-    "init.n": ("i", 2049),
-    "fit.trajectory": ("s", ""),
-    "fit.tail_fraction": ("f", 0.25),
-    "redecompose.lam": ("f", 0.01),
-    "redecompose.nu": ("f", 0.1),
-    "redecompose.atil0": ("f", 0.0),
-    "sweep.param": ("s", ""),
-    "sweep.values": ("s", ""),
-    "sweep.mode": ("s", "simulate"),
+    "mode": "alpha0",
+    "solver.n": 1025,               # not read: init.n sets the grid
+    "solver.dt_safety": 0.5,
+    "solver.blowup_cap": math.nan,  # nan: 1e6 * max|a0|
+    "solver.t_max": math.inf,
+    "solver.max_steps": 5_000_000,
+    "solver.probe_z": "0,0.25,0.5",
+    "selfsim.s_end": math.nan,      # nan: s0 + 5
+    "selfsim.ds_safety": 0.25,
+    "selfsim.stride": 1,
+    "params.alpha": 2.0,
+    "params.gamma": 2.0,
+    "params.k": 1.5,
+    "params.eta0": 4,
+    "params.h_a": 4.0 / 3.0,
+    "params.h_c": 0.5,
+    "params.l": 1.0,
+    "params.eps_a": math.nan,       # nan: the reference value for init.sigma
+    "params.eps_c": math.nan,       # nan: the reference value for init.sigma
+    "params.M": 2.0,
+    "params.N": 4.0,
+    "params.N0": 3.0,
+    "params.z_star": 4.0,
+    "params.delta": 0.1,
+    "init.lambda0": 1e-3,
+    "init.nu0": math.nan,           # nan: 1/(2 log(1/lambda0))
+    "init.sigma": 0,
+    "init.kappa": 0.0,
+    "init.family": "none",
+    "init.seed": 0,
+    "init.n": 2049,
+    "fit.trajectory": "",
+    "fit.tail_fraction": 0.25,
+    "redecompose.lam": 0.01,
+    "redecompose.nu": 0.1,
+    "redecompose.atil0": 0.0,
+    "sweep.param": "",
+    "sweep.values": "",
+    "sweep.mode": "simulate",
 }
 
 _FILE_MODES = {"simulate", "selfsim", "energies", "fit", "sweep"}
@@ -81,14 +77,9 @@ class ConfigError(Exception):
 
 
 def _parse_value(key, raw):
-    kind = REGISTRY[key][0]
     raw = raw.strip()
     try:
-        if kind == "f":
-            return float(raw)
-        if kind == "i":
-            return int(raw)
-        return raw
+        return type(REGISTRY[key])(raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {key} = {raw!r}") from exc
 
@@ -100,7 +91,7 @@ def _format_value(v):
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
-    cfg = {k: v for k, (_, v) in REGISTRY.items()}
+    cfg = dict(REGISTRY)
     pairs = []
     try:
         text = Path(path).read_text() if path else ""
@@ -165,8 +156,7 @@ def _solver_from(cfg) -> SolverConfig:
     probes = tuple(float(x) for x in cfg["solver.probe_z"].split(",") if x.strip())
     return SolverConfig(
         n=cfg["solver.n"], dt_safety=cfg["solver.dt_safety"],
-        blowup_cap=None if math.isnan(cap) else cap,
-        dt_floor=cfg["solver.dt_floor"], t_max=cfg["solver.t_max"],
+        blowup_cap=None if math.isnan(cap) else cap, t_max=cfg["solver.t_max"],
         max_steps=cfg["solver.max_steps"], probe_Z=probes,
     )
 
@@ -338,15 +328,16 @@ def _mode_sweep(cfg, outdir, quiet):
 
 
 _DISPATCH = {
-    "alpha0": _mode_alpha0,
-    "validate-params": _mode_validate,
     "simulate": _mode_simulate,
     "selfsim": _mode_selfsim,
+    "validate-params": _mode_validate,
+    "alpha0": _mode_alpha0,
     "energies": _mode_energies,
     "fit": _mode_fit,
     "redecompose": _mode_redecompose,
     "sweep": _mode_sweep,
 }
+MODES = tuple(_DISPATCH)
 
 
 def main(argv=None) -> int:

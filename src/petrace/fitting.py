@@ -105,7 +105,8 @@ def fit_rates(traj, T_hat: float, tail_fraction: float = 0.25) -> BlowupFit:
 
     rate_a and nu_slope are fitted on the same tail used for T estimation;
     pointwise exponents are fitted on a per-height stable-slope window
-    (heights above Z = 0.5 are skipped).
+    (heights above Z = 0.5 are skipped).  A width scale nu that is not
+    finite on the tail, as where a_Z(t, 0) = 0, raises FitDegenerate.
     """
     t = np.asarray(traj.t, dtype=float)
     if T_hat <= t[-1]:
@@ -118,11 +119,10 @@ def fit_rates(traj, T_hat: float, tail_fraction: float = 0.25) -> BlowupFit:
     residuals["rate_a"] = rms
 
     nu = np.asarray(traj.nu, dtype=float)
-    if np.all(np.isfinite(nu[sl])):
-        nu_slope, _, rms = _linfit(np.abs(logdist[sl]), 1.0 / nu[sl])
-        residuals["nu_slope"] = rms
-    else:
-        nu_slope = math.nan  # width series unavailable (e.g. CSV reload)
+    if not np.all(np.isfinite(nu[sl])):
+        raise FitDegenerate("width scale nu is not finite on the tail")
+    nu_slope, _, rms = _linfit(np.abs(logdist[sl]), 1.0 / nu[sl])
+    residuals["nu_slope"] = rms
 
     pointwise = []
     probes = np.asarray(traj.probes, dtype=float)

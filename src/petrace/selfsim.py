@@ -520,7 +520,7 @@ class SelfsimTrajectory:
                    cols, self.reason, flags=self.trapped)
 
 
-def stable_ds(st: SelfSimilarState, ds_safety: float = 0.25) -> float:
+def stable_ds(st: SelfSimilarState, ds_safety: float = SelfsimConfig.ds_safety) -> float:
     """CFL-style step: the transport speed at fixed z (including the domain
     stretch term, which dominates at the right edge) against the grid
     spacing.  The stepper transports at fixed xi, where the stretch term is

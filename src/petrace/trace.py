@@ -30,6 +30,7 @@ _REASON_TAG = "# reason="
 
 _MEAN_TOL = 1e-8    # relative to max(1, max|a|); the compatibility condition
 _BC_TOL = 1e-10
+_DT_FLOOR = 1e-15   # the smallest step the physical run takes
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,6 @@ class SolverConfig:
     n: int = 1025                     # not read: the initial state sets the grid
     dt_safety: float = 0.5
     blowup_cap: float | None = None   # None: resolved to 1e6 * max|a0| at run start
-    dt_floor: float = 1e-15
     t_max: float = math.inf
     max_steps: int = 5_000_000
     probe_Z: tuple[float, ...] = (0.0, 0.25, 0.5)
@@ -111,8 +111,6 @@ class SolverConfig:
             raise ValueError("dt_safety must lie in (0, 1]")
         if self.blowup_cap is not None and not 0 < self.blowup_cap < math.inf:
             raise ValueError(f"blowup_cap must be positive and finite, got {self.blowup_cap!r}")
-        if not 0 < self.dt_floor < math.inf:
-            raise ValueError(f"dt_floor must be positive and finite, got {self.dt_floor!r}")
         if math.isnan(self.t_max):
             raise ValueError("t_max must not be nan")
         if self.max_steps < 1:
@@ -237,7 +235,7 @@ def step(state: TraceState, cfg: SolverConfig, dt_cap: float | None = None) -> S
     the stepped state passes the checks of a constructed one.
 
     Raises TimeStepUnderflow when the stable step falls below
-    ``cfg.dt_floor``, and NonFiniteState when a sample of the result is not
+    ``_DT_FLOOR``, and NonFiniteState when a sample of the result is not
     finite: the step ran away.
     """
     cap = cfg.blowup_cap if cfg.blowup_cap is not None else math.inf
@@ -249,8 +247,8 @@ def step(state: TraceState, cfg: SolverConfig, dt_cap: float | None = None) -> S
     dt = stable_dt(state, cfg)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
-    if dt < cfg.dt_floor:
-        raise TimeStepUnderflow(f"dt={dt:g} below floor {cfg.dt_floor:g} at t={state.t:g}")
+    if dt < _DT_FLOOR:
+        raise TimeStepUnderflow(f"dt={dt:g} below floor {_DT_FLOOR:g} at t={state.t:g}")
 
     if sigma == 1:
         u = u.copy()  # the state's rows are read-only
@@ -430,7 +428,7 @@ def _run(state0: TraceState, cfg: SolverConfig) -> Trajectory:
                 res.mean_drift_rate, *va[idx])
 
     arr, last, stop = _march(StepResult(state0, 0.0, False), lambda res: res.state.t,
-                             cfg.t_max, cfg.dt_floor, cfg.max_steps, advance, row)
+                             cfg.t_max, _DT_FLOOR, cfg.max_steps, advance, row)
     return Trajectory(*arr.T[:8], probe_Z=tuple(i / (state0.grid.n - 1) for i in idx),
                       probes=arr[:, 8:], reason="t_max" if stop == "end" else stop,
                       final_state=last.state)

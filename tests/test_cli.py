@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petrace import cli, errors, initial_data
+from petrace import cli, errors, initial_data, selfsim, trace
 from petrace.cli import load_config, main
 from petrace.fitting import estimate_T, fit_rates
 from petrace.params import alpha0, reference_sigma0_params, reference_sigma1_params
@@ -33,11 +33,12 @@ class TestConfig:
         assert cfg["init.lambda0"] == 5e-3
         assert cfg["solver.n"] == 513
 
-    # solver.upwind, solver.store_stride and params.sigma were removed, so a
-    # resolved.config written before then is rejected rather than silently
-    # half-read
+    # solver.upwind, solver.store_stride, params.sigma and solver.dt_floor
+    # were removed, so a resolved.config written before then is rejected
+    # rather than silently half-read
     @pytest.mark.parametrize("line", ["solver.nn = 3", "solver.upwind = false",
-                                      "solver.store_stride = 0", "params.sigma = 0"],
+                                      "solver.store_stride = 0", "params.sigma = 0",
+                                      "solver.dt_floor = 1.0000000000000001e-15"],
                              ids=lambda line: line.split(" =")[0])
     def test_unknown_key_rejected(self, tmp_path, line):
         cfg_file = tmp_path / "bad.config"
@@ -236,14 +237,21 @@ class TestModes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    # a blow-up cap beyond the floats lets the run go on until a step
-    # overflows; the overflow warnings on the way are the point
+    # rates scaled beyond the floats overflow the first step; the overflow
+    # warnings are the point
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("sigma", [0, 1])
-    def test_runaway_physical_step_exits_3(self, tmp_path, capsys, sigma):
+    def test_runaway_physical_step_exits_3(self, tmp_path, capsys, monkeypatch, sigma):
+        rhs = trace._rhs
+
+        def runaway(u, h, sigma, P=None):
+            k = rhs(u, h, sigma, P)
+            k *= 1e308
+            return k
+
+        monkeypatch.setattr(trace, "_rhs", runaway)
         code = run_cli("simulate", "--out", str(tmp_path / "sim"), "--quiet",
-                       "--set", "init.n=129", "--set", f"init.sigma={sigma}",
-                       "--set", "solver.blowup_cap=1e300", "--set", "solver.dt_floor=1e-300")
+                       "--set", "init.n=129", "--set", f"init.sigma={sigma}")
         assert code == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and "non-finite samples" in err
@@ -256,6 +264,14 @@ class TestModes:
         assert code == 3
         assert "below floor" in capsys.readouterr().err
         assert not (tmp_path / "sim" / "trajectory.csv").exists()
+
+    def test_rescaled_underflow_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(selfsim, "stable_ds", lambda st, ds_safety: 1e-13)
+        code = run_cli("selfsim", "--out", str(tmp_path / "ss"), "--quiet",
+                       "--set", "init.n=513")
+        assert code == 3
+        assert "below floor" in capsys.readouterr().err
+        assert not (tmp_path / "ss" / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("mode, setting, name", [
         ("simulate", "solver.max_steps=-3", "max_steps"),
@@ -279,8 +295,6 @@ class TestModes:
         assert "lambda0 must lie in" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting, name", [
-        ("solver.dt_floor=nan", "dt_floor"),
-        ("solver.dt_floor=inf", "dt_floor"),
         ("solver.t_max=nan", "t_max"),
         ("solver.blowup_cap=inf", "blowup_cap"),
     ])

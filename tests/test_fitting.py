@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from petrace.cli import main
 from petrace.errors import FitDegenerate
 from petrace.fitting import estimate_T, fit_rates, temperature_rates
 from petrace.params import fixed_diffusive_choice, reference_sigma0_params
@@ -97,6 +98,30 @@ class TestFitRates:
         traj = synthetic_trajectory(t, 1.0 / (T - t), T=T, nu=nu)
         fit = fit_rates(traj, T)
         assert abs(fit.nu_slope - 1.7) <= 1e-6
+
+    @staticmethod
+    def _flat_width_on_tail():
+        """A blow-up law with a_Z(t, 0) = 0 at one tail sample, where the
+        width scale nu = -a0/aZ0 is infinite."""
+        T = 1.0
+        t = T - np.logspace(-1, -6, 700)
+        traj = synthetic_trajectory(t, 1.0 / (T - t), T=T)
+        traj.aZ0[-5] = 0.0
+        return traj
+
+    # the division warning of nu = -a0/0 is the point
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_nu_on_tail_rejected(self):
+        with pytest.raises(FitDegenerate, match="nu is not finite"):
+            fit_rates(self._flat_width_on_tail(), 1.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fit_mode_exits_3_on_non_finite_nu(self, tmp_path, capsys):
+        self._flat_width_on_tail().to_csv(tmp_path / "trajectory.csv")
+        assert main(["fit", "--out", str(tmp_path), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "nu is not finite" in err
+        assert not (tmp_path / "fit.json").exists()
 
     def test_T_hat_must_exceed_samples(self):
         t = np.linspace(0.0, 1.0, 300)

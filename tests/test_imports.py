@@ -103,7 +103,7 @@ def test_package_declares_and_imports_numpy_alone():
 
 PACKAGE = sorted(p.stem for p in (SRC / "petrace").glob("*.py") if p.stem != "__init__")
 # config keys that README names although they are gone
-REMOVED_KEYS = {"solver.upwind", "solver.store_stride", "params.sigma"}
+REMOVED_KEYS = {"solver.upwind", "solver.store_stride", "params.sigma", "solver.dt_floor"}
 
 
 def _modules():

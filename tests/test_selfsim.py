@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from petrace import selfsim, trace
-from petrace.errors import ConstraintLost, DegenerateTrace, NonFiniteState
+from petrace.errors import ConstraintLost, DegenerateTrace, NonFiniteState, TimeStepUnderflow
 from petrace.grid import Field, Grid, antiderivative, cumulative, d1_at_lo, d2, definite
 from petrace.initial_data import InitialDataSpec, build_profile_data
 from petrace.selfsim import (
@@ -402,6 +402,12 @@ class TestRun:
         first = step_selfsim(st, stable_ds(st))
         assert first._lost_defect is not None and abs(first._lost_defect) > 1e-300
         assert f"at s={first.s:g}" in str(caught.value)
+
+    def test_step_below_floor_raises_underflow(self, monkeypatch):
+        st = balanced_state(s0=12.0, c_amp=1e-4)
+        monkeypatch.setattr(selfsim, "stable_ds", lambda st, ds_safety: 1e-13)
+        with pytest.raises(TimeStepUnderflow, match="below floor at s=12"):
+            run_selfsim(st, SelfsimConfig(s_end=13.0))
 
     def test_bare_profile_step_keeps_its_defect(self):
         st = bare_profile_state()
