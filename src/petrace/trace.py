@@ -45,10 +45,11 @@ class TraceState:
     sigma: int
     t: float = 0.0
     # The stacked (a, c) samples, of which a and c are views, and their
-    # running integrals D^-1 (a, c), which the step's first RK stage needs,
-    # both read-only; the integral of a over [0, 1] (its mean, the last
-    # entry of D^-1 a), max|a| and max|c|.  All are found once, by _adopt,
-    # and reused by the stepper and the run recorder.
+    # running integrals D^-1 (a, c) (for sigma=1 D^-1 a alone), which the
+    # step's first RK stage needs, both read-only; the integral of a over
+    # [0, 1] (its mean, the last entry of D^-1 a), max|a| and max|c|.  All
+    # are found once, by _adopt, and reused by the stepper and the run
+    # recorder.
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
     _P: np.ndarray = field(init=False, repr=False, compare=False)
     mean_a: float = field(init=False, repr=False, compare=False)
@@ -79,8 +80,10 @@ class TraceState:
     def _adopt(self, rows, g, max_a, max_c):
         """Take the stacked finite rows (a, c) on grid g, with their maxima,
         as the samples, without a copy, after the checks every state passes:
-        the compatibility condition and, for sigma=1, c = 0 at both ends."""
-        P = cumulative(rows, g.h)
+        the compatibility condition and, for sigma=1, c = 0 at both ends.
+        For sigma=1 only a is integrated: the step's leading diffusion half
+        step changes c, so no step reads the integral of this c."""
+        P = cumulative(rows if self.sigma == 0 else rows[:1], g.h)
         mean = float(P[0, -1])  # definite(a), bit for bit
         if abs(mean) > _MEAN_TOL * max(1.0, max_a):
             raise ValueError(f"compatibility condition violated: integral(a) = {mean:g}")
@@ -305,8 +308,10 @@ class Trajectory:
 
     @property
     def nu(self) -> np.ndarray:
-        """Width scale -a(t,0)/a_Z(t,0) along the run."""
-        return -self.a0 / self.aZ0
+        """Width scale -a(t,0)/a_Z(t,0) along the run; not finite where
+        a_Z(t,0) = 0, which the fit rejects without a numpy warning."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return -self.a0 / self.aZ0
 
     def to_csv(self, path):
         """One line per sample (t, max|a|, max|c|, mean of a, dt, a(t,0),
@@ -348,13 +353,17 @@ def _write_csv(path, header, rows, reason=None, flags=None):
     """Write ``rows`` (a 2-D array or a sequence of rows) under the header
     line, every value as a full-precision decimal (``%.17g``).  ``flags``,
     if given, is a last column of integers, an empty field where it is NaN;
-    ``reason``, if given, is written as a last line ``# reason=<reason>``."""
-    lines = [",".join(f"{x:.17g}" for x in row) for row in np.asarray(rows, float).tolist()]
-    if flags is not None:
-        lines = [f"{line},{'' if math.isnan(f) else int(f)}" for line, f in zip(lines, flags)]
-    tail = [] if reason is None else [_REASON_TAG + reason]
+    ``reason``, if given, is written as a last line ``# reason=<reason>``.
+    The lines go to the file one at a time."""
     with open(path, "w") as fh:
-        fh.write("\n".join([header, *lines, *tail]) + "\n")
+        fh.write(header + "\n")
+        for k, row in enumerate(np.asarray(rows, float)):
+            line = ",".join(f"{x:.17g}" for x in row.tolist())
+            if flags is not None:
+                line += "," if math.isnan(flags[k]) else f",{int(flags[k])}"
+            fh.write(line + "\n")
+        if reason is not None:
+            fh.write(_REASON_TAG + reason + "\n")
 
 
 def _probe_indices(grid: Grid, probe_Z):
@@ -385,9 +394,25 @@ def _march(x, clock, end, floor, max_steps, advance, row, stride=1):
     budget of ``max_steps``.  ``advance(x, left)`` steps at most ``left``
     and returns the next x, or None on blow-up.  ``row(x)`` tabulates the
     start, every ``stride``-th step and the final x, always the last row.
-    Returns the rows as an array, the final x and the stop reason ("end",
-    "max_steps" or "blowup")."""
-    rows = [row(x)]
+    Returns the rows as a float64 array, the final x and the stop reason
+    ("end", "max_steps" or "blowup").
+
+    Each row goes into a float64 block as it is made, not into a list of
+    boxed floats; the block doubles when full and is trimmed at the end."""
+    first = row(x)
+    rows = np.empty((64, len(first)))
+    rows[0] = first
+    m = 1
+
+    def record(x):
+        nonlocal rows, m
+        if m == len(rows):
+            grown = np.empty((2 * m, rows.shape[1]))
+            grown[:m] = rows
+            rows = grown
+        rows[m] = row(x)
+        m += 1
+
     for k in range(max_steps + 1):
         left = end - clock(x)
         if left < max(floor, 1e-15 * end):  # also past the end; an infinite end never lands
@@ -402,10 +427,10 @@ def _march(x, clock, end, floor, max_steps, advance, row, stride=1):
             break
         x = nxt
         if (k + 1) % stride == 0:
-            rows.append(row(x))
+            record(x)
     if k % stride:
-        rows.append(row(x))
-    return np.array(rows), x, reason
+        record(x)
+    return rows[:m].copy(), x, reason
 
 
 def _run(state0: TraceState, cfg: SolverConfig) -> Trajectory:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -109,18 +110,20 @@ class TestFitRates:
         traj.aZ0[-5] = 0.0
         return traj
 
-    # the division warning of nu = -a0/0 is the point
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_nu_on_tail_rejected(self):
         with pytest.raises(FitDegenerate, match="nu is not finite"):
             fit_rates(self._flat_width_on_tail(), 1.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # the typed failure is all the user sees: nu = -a0/0 warns nothing
     def test_fit_mode_exits_3_on_non_finite_nu(self, tmp_path, capsys):
         self._flat_width_on_tail().to_csv(tmp_path / "trajectory.csv")
-        assert main(["fit", "--out", str(tmp_path), "--quiet"]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fit", "--out", str(tmp_path), "--quiet"]) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and "nu is not finite" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "fit.json").exists()
 
     def test_T_hat_must_exceed_samples(self):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,6 +345,27 @@ class TestRuns:
         assert list(traj.dt[1:]) == taken
         if reason == "max_steps":
             assert len(taken) == 7
+
+    # the run loop keeps its rows unboxed: a block that doubles when full and
+    # one trimmed copy hold at most 3 records at once, where a list of
+    # tuples of floats costs about 6
+    def test_run_records_rows_unboxed(self):
+        n = 33
+        g = UNIT(n)
+        p = 1e-3 * np.cos(np.pi * g.nodes)
+        st = TraceState(Field(g, p - definite(p, g.h)), Field(g, np.zeros(n)), 0)
+        tracemalloc.start()
+        try:
+            traj = run_to_blowup(st, SolverConfig(max_steps=2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.reason == "max_steps" and len(traj.t) == 2001
+        cols = [traj.t, traj.max_a, traj.max_c, traj.mean_a, traj.dt, traj.a0, traj.aZ0,
+                traj.drift_rate, traj.probes]
+        assert all(c.dtype == np.float64 for c in cols)
+        nbytes = 8 * len(traj.t) * (8 + len(traj.probe_Z))
+        assert peak < 3 * nbytes + 64 * 1024
 
     # polynomial data (+, -, *, / only) and no FFT in a sigma=0 step, so the
     # digest does not depend on the numpy build (on little-endian hosts)
