@@ -28,7 +28,7 @@ state = build_profile_data(spec, 1025)
 print(f"initial data: max|a| = {state.a.max_abs():.4g}, max|c| = {state.c.max_abs():.4g}")
 
 t0 = time.time()
-traj = run_to_blowup(state, SolverConfig(n=1025))
+traj = run_to_blowup(state, SolverConfig())
 print(f"run: {len(traj.t)} steps in {time.time() - t0:.1f}s, "
       f"stop reason {traj.reason!r}, max|a| grew to {traj.max_a[-1]:.3g}\n")
 

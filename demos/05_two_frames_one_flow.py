@@ -32,7 +32,7 @@ checkpoints.append(cur)
 
 print(f"\n{'t':>12} {'s':>7} {'max|a|':>10} {'rel L_inf(a)':>13}")
 for sk in checkpoints:
-    traj = run_to_time(state, SolverConfig(n=n, dt_safety=0.4), sk.t)
+    traj = run_to_time(state, SolverConfig(dt_safety=0.4), sk.t)
     ph = traj.final_state
     ar, _ = reconstruct(sk)
     rel = np.max(np.abs(ar.values - ph.a.values)) / np.max(np.abs(ph.a.values))

@@ -19,8 +19,7 @@ from pathlib import Path
 
 from . import initial_data, selfsim
 from .diagnostics import check_initial_closeness, energy_report
-from .errors import (ConstraintLost, FitDegenerate, NonFiniteState, PetraceError,
-                     ScaleFitFailure, TimeStepUnderflow)
+from .errors import NumericalFailure, PetraceError
 from .fitting import estimate_T, fit_rates
 from .params import (FrameworkParams, alpha0, reference_sigma0_params,
                      reference_sigma1_params, validate_params)
@@ -155,9 +154,8 @@ def _solver_from(cfg) -> SolverConfig:
     cap = cfg["solver.blowup_cap"]
     probes = tuple(float(x) for x in cfg["solver.probe_z"].split(",") if x.strip())
     return SolverConfig(
-        n=cfg["solver.n"], dt_safety=cfg["solver.dt_safety"],
-        blowup_cap=None if math.isnan(cap) else cap, t_max=cfg["solver.t_max"],
-        max_steps=cfg["solver.max_steps"], probe_Z=probes,
+        dt_safety=cfg["solver.dt_safety"], blowup_cap=None if math.isnan(cap) else cap,
+        t_max=cfg["solver.t_max"], max_steps=cfg["solver.max_steps"], probe_Z=probes,
     )
 
 
@@ -367,14 +365,10 @@ def main(argv=None) -> int:
         if outdir is not None:
             write_resolved(cfg, outdir)
         return _DISPATCH[mode](cfg, outdir, args.quiet)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TimeStepUnderflow, FitDegenerate, ScaleFitFailure, NonFiniteState,
-            ConstraintLost) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (PetraceError, ValueError) as exc:
+    except (ConfigError, PetraceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

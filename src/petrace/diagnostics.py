@@ -5,13 +5,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InsufficientData, SingularWeight
 from .grid import Field, d1, d1_at_lo, definite
 from .params import FrameworkParams, Verdict
-from .selfsim import SelfSimilarState, phi
+
+if TYPE_CHECKING:  # annotations only: selfsim imports this module
+    from .selfsim import SelfSimilarState
 
 __all__ = [
     "EnergyReport",

@@ -57,7 +57,7 @@ def _family_shapes(spec: InitialDataSpec, z: np.ndarray):
     vanishing to second order at z = 0."""
     base = z**2 * np.exp(-z)
     if spec.perturbation_family == "tail_balance":
-        ga = psi(2.0 * z) - 2.0 * psi(z) + psi(z) ** 2  # smooth, o(z^2) at 0, bounded tail
+        ga = psi(2.0 * z) - 2.0 * psi(z) + psi(z) ** 2  # smooth, ~z^2 at 0, bounded tail
         gc = base
     elif spec.perturbation_family == "polynomial_bump":
         rng = np.random.default_rng(spec.seed)

@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import diagnostics
 from .errors import (ConstraintLost, DegenerateTrace, NonFiniteState, ScaleFitFailure,
                      TimeStepUnderflow)
 from .grid import Field, Grid, cn_half, cumulative, d1, d1_at_lo, definite
@@ -542,8 +543,6 @@ def run_selfsim(st0: SelfSimilarState, cfg: SelfsimConfig) -> SelfsimTrajectory:
     keep it: a step whose re-pinning cannot project the defect out raises
     ConstraintLost.
     """
-    from . import diagnostics  # local import to avoid a module cycle
-
     if abs(st0.zero_average_defect()) > _INT_TOL:
         raise ValueError("trajectory start must satisfy int(phi + atil) = 0")
     if cfg.s_end < st0.s:

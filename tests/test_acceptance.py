@@ -67,7 +67,7 @@ def run6():
                            perturbation_family="tail_balance")
     state = build_profile_data(spec, 2049)
     t0 = time.time()
-    traj = run_to_blowup(state, SolverConfig(n=2049, dt_safety=0.5))
+    traj = run_to_blowup(state, SolverConfig(dt_safety=0.5))
     elapsed = time.time() - t0
     T_hat = estimate_T(traj)
     fit = fit_rates(traj, T_hat)
@@ -133,7 +133,7 @@ def test_criterion_03_mean_conservation():
     spec = InitialDataSpec(lambda0=lam0, nu0=1.0 / (2.0 * math.log(1.0 / lam0)),
                            sigma=0, kappa=0.3, perturbation_family="tail_balance")
     state = build_profile_data(spec, 1025)
-    traj = run_to_time(state, SolverConfig(n=1025, dt_safety=0.5), 0.02)
+    traj = run_to_time(state, SolverConfig(dt_safety=0.5), 0.02)
     drift = float(np.max(np.abs(traj.drift_rate)))
     ok = drift <= 1e-6
     report(3, ok, f"pre-projection drift of int(a) per unit time <= {drift:.2e} "
@@ -219,7 +219,7 @@ def test_criterion_08_frame_consistency():
     worst = 0.0
     ph = state
     for sk in checkpoints:
-        ph = run_to_time(ph, SolverConfig(n=n, dt_safety=0.4), sk.t).final_state
+        ph = run_to_time(ph, SolverConfig(dt_safety=0.4), sk.t).final_state
         ar, _ = reconstruct(sk)
         rel = float(np.max(np.abs(ar.values - ph.a.values)) / np.max(np.abs(ph.a.values)))
         worst = max(worst, rel)

@@ -22,16 +22,21 @@ def run_cli(*argv):
 # a start no spatial scale pins: on 8 nodes the profile falls off inside
 # the first cell
 UNPINNABLE = ("--set", "init.n=8", "--set", "init.lambda0=1e-6")
+# a tail_balance start whose weighted energy meets a first-cell integrand
+# far above the second cell's (SingularWeight): at the start in energies
+# mode at n=65, and mid-run in selfsim mode at n=129
+SINGULAR = ("--set", "init.family=tail_balance", "--set", "init.kappa=1",
+            "--set", "init.lambda0=2e-2", "--set", "params.h_a=1.1")
 
 
 class TestConfig:
     def test_defaults_and_overrides(self, tmp_path):
         cfg_file = tmp_path / "run.config"
         cfg_file.write_text("mode = simulate\ninit.lambda0 = 5e-3  # comment\n\n# blank\n")
-        cfg = load_config(str(cfg_file), ["solver.n=513"])
+        cfg = load_config(str(cfg_file), ["init.n=513"])
         assert cfg["mode"] == "simulate"
         assert cfg["init.lambda0"] == 5e-3
-        assert cfg["solver.n"] == 513
+        assert cfg["init.n"] == 513
 
     # solver.upwind, solver.store_stride, params.sigma and solver.dt_floor
     # were removed, so a resolved.config written before then is rejected
@@ -55,7 +60,7 @@ class TestConfig:
         assert (p.eps_a, p.eps_c) == (0.75, 0.95)
 
     def test_bad_value_rejected(self):
-        assert run_cli("alpha0", "--set", "solver.n=abc") == 2
+        assert run_cli("alpha0", "--set", "init.n=abc") == 2
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert run_cli("alpha0", "--config", str(tmp_path / "missing.cfg")) == 2
@@ -118,7 +123,7 @@ class TestModes:
         out = tmp_path / "run"
         code = run_cli("simulate", "--out", str(out), "--quiet",
                        "--set", "init.lambda0=1e-2", "--set", "init.n=513",
-                       "--set", "solver.n=513", "--set", "solver.blowup_cap=1e5")
+                       "--set", "solver.blowup_cap=1e5")
         assert code == 0
         csv = out / "trajectory.csv"
         assert csv.exists()
@@ -138,7 +143,7 @@ class TestModes:
         out = tmp_path / "strict"
         assert run_cli("simulate", "--out", str(out), "--quiet",
                        "--set", "init.lambda0=1e-2", "--set", "init.n=513",
-                       "--set", "solver.n=513", "--set", "solver.blowup_cap=1e5") == 0
+                       "--set", "solver.blowup_cap=1e5") == 0
         assert run_cli("fit", "--out", str(out), "--quiet") == 0
 
         def reject(name):
@@ -152,7 +157,7 @@ class TestModes:
         out = tmp_path / "tmax"
         assert run_cli("simulate", "--out", str(out), "--quiet",
                        "--set", "init.lambda0=1e-2", "--set", "init.n=513",
-                       "--set", "solver.n=513", "--set", "solver.t_max=1e-3") == 0
+                       "--set", "solver.t_max=1e-3") == 0
         assert (out / "trajectory.csv").read_text().splitlines()[-1] == "# reason=t_max"
         assert run_cli("fit", "--out", str(out), "--quiet") == 3
         assert "numerical failure" in capsys.readouterr().err
@@ -162,7 +167,7 @@ class TestModes:
         out = tmp_path / "reload"
         assert run_cli("simulate", "--out", str(out), "--quiet",
                        "--set", "init.lambda0=1e-2", "--set", "init.n=513",
-                       "--set", "solver.n=513", "--set", "solver.blowup_cap=1e5") == 0
+                       "--set", "solver.blowup_cap=1e5") == 0
         cfg = load_config(str(out / "resolved.config"), [])
         assert run_cli("fit", "--out", str(out), "--quiet") == 0
         reloaded = json.loads((out / "fit.json").read_text())
@@ -180,7 +185,7 @@ class TestModes:
         out = tmp_path / "probes"
         assert run_cli("simulate", "--out", str(out), "--quiet",
                        "--set", "init.lambda0=1e-2", "--set", "init.n=513",
-                       "--set", "solver.n=513", "--set", "solver.blowup_cap=1e5") == 0
+                       "--set", "solver.blowup_cap=1e5") == 0
         cfg = load_config(str(out / "resolved.config"), [])
         assert run_cli("fit", "--out", str(out), "--quiet") == 0
 
@@ -345,15 +350,41 @@ class TestModes:
         assert code == 2
         assert "ds_safety" in capsys.readouterr().err
 
-    def test_scale_fit_failure_exits_3(self, tmp_path, capsys):
-        code = run_cli("selfsim", "--out", str(tmp_path / "ss"), "--quiet", *UNPINNABLE)
-        assert code == 3
-        assert "numerical failure: no spatial scale pins" in capsys.readouterr().err
+    @pytest.mark.parametrize("mode, settings, message", [
+        ("selfsim", UNPINNABLE, "no spatial scale pins"),
+        ("energies", UNPINNABLE, "no spatial scale pins"),
+        ("energies", ("--set", "init.n=65", *SINGULAR), "first-cell integrand"),
+        ("selfsim", ("--set", "init.n=129", "--set", "init.sigma=0", *SINGULAR),
+         "first-cell integrand"),
+        ("selfsim", ("--set", "init.n=129", "--set", "init.sigma=1", *SINGULAR),
+         "first-cell integrand"),
+    ], ids=["selfsim-unpinnable", "energies-unpinnable", "energies-singular",
+            "selfsim-singular-sigma0", "selfsim-singular-sigma1"])
+    def test_numerical_failure_exits_3(self, tmp_path, capsys, mode, settings, message):
+        out = tmp_path / "run"
+        assert run_cli(mode, "--out", str(out), "--quiet", *settings) == 3
+        assert f"numerical failure: {message}" in capsys.readouterr().err
+        assert sorted(f.name for f in out.iterdir()) == ["resolved.config"]
 
-    def test_scale_fit_failure_in_energies_exits_3(self, tmp_path, capsys):
-        code = run_cli("energies", "--out", str(tmp_path / "en"), "--quiet", *UNPINNABLE)
-        assert code == 3
-        assert "numerical failure: no spatial scale pins" in capsys.readouterr().err
+    def test_exit_code_follows_the_error_type(self, monkeypatch, capsys):
+        codes = {}
+        for cls in [c for c in vars(errors).values() if isinstance(c, type)] + [cli.ConfigError]:
+            exc = cls(25.5) if cls is errors.ScaleFitFailure else cls("what went wrong")
+
+            def fail(cfg, outdir, quiet, exc=exc):
+                raise exc
+
+            monkeypatch.setitem(cli._DISPATCH, "alpha0", fail)
+            codes[cls] = run_cli("alpha0")
+            prefix = "numerical failure: " if codes[cls] == 3 else "error: "
+            assert capsys.readouterr().err == f"{prefix}{exc}\n"
+        assert {c for c, code in codes.items() if code == 3} == {
+            errors.NumericalFailure, errors.TimeStepUnderflow, errors.NonFiniteState,
+            errors.ConstraintLost, errors.ScaleFitFailure, errors.FitDegenerate,
+            errors.SingularWeight, errors.InsufficientData}
+        assert {c for c, code in codes.items() if code == 2} == {
+            errors.PetraceError, errors.DegenerateTrace, errors.InfeasibleBalance,
+            errors.OutOfRange, cli.ConfigError}
 
     def test_sweep_over_sigma_in_energies_mode(self, tmp_path):
         out = tmp_path / "sw"
@@ -369,7 +400,7 @@ class TestModes:
                        "--set", "sweep.param=init.lambda0",
                        "--set", "sweep.values=1e-2,2e-2",
                        "--set", "sweep.mode=simulate",
-                       "--set", "init.n=513", "--set", "solver.n=513",
+                       "--set", "init.n=513",
                        "--set", "solver.blowup_cap=1e4")
         assert code == 0
         for i in range(2):
@@ -379,7 +410,7 @@ class TestModes:
 
 
 SWEEP_SIMULATE = ("--set", "sweep.mode=simulate", "--set", "init.n=513",
-                  "--set", "solver.n=513", "--set", "solver.blowup_cap=1e4")
+                  "--set", "solver.blowup_cap=1e4")
 
 
 class TestSweep:
@@ -502,7 +533,7 @@ class TestRoundTrip:
         out1 = tmp_path / "r1"
         out2 = tmp_path / "r2"
         args = ["simulate", "--quiet", "--set", "init.lambda0=1e-2",
-                "--set", "init.n=513", "--set", "solver.n=513",
+                "--set", "init.n=513",
                 "--set", "solver.blowup_cap=1e5"]
         assert run_cli(*args, "--out", str(out1)) == 0
         assert run_cli("--config", str(out1 / "resolved.config"),
