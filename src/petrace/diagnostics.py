@@ -10,6 +10,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InsufficientData, SingularWeight
+from .fitting import _linfit
 from .grid import Field, d1, d1_at_lo, definite
 from .params import FrameworkParams, Verdict
 
@@ -218,5 +219,4 @@ def vanishing_exponent(f: Field, z_fit: float) -> float:
     window = (z >= z_fit / 10.0) & (z <= z_fit) & (v > 1e-14)
     if np.count_nonzero(window) < 5:
         raise InsufficientData("fewer than 5 usable nodes in the fit window")
-    slope = np.polyfit(np.log(z[window]), np.log(v[window]), 1)[0]
-    return float(slope)
+    return _linfit(np.log(z[window]), np.log(v[window]))[0]

@@ -17,14 +17,29 @@ __all__ = ["BlowupFit", "TemperatureReport", "estimate_T", "fit_rates", "tempera
 
 
 def _linfit(x, y):
-    slope, intercept = np.polyfit(x, y, 1)
+    """Least-squares line y ~ slope*x + intercept and its residual rms.
+
+    Closed form on centered data (two passes: the means, then the sums of
+    deviations), with np.sum and np.mean only, so no BLAS or LAPACK call is
+    made, and no workspace is faulted in, on any blow-up fit."""
+    xm, ym = x.mean(), y.mean()
+    dx = x - xm
+    slope = np.sum(dx * (y - ym)) / np.sum(dx * dx)
+    intercept = ym - slope * xm
     rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return float(slope), float(intercept), rms
 
 
 def _tail(n, tail_fraction):
+    if not (0.0 < tail_fraction <= 0.5):
+        raise ValueError("tail_fraction must lie in (0, 0.5]")
     k = max(5, int(round(n * tail_fraction)))
     return slice(n - min(k, n), n)
+
+
+def _require_blowup(traj):
+    if getattr(traj, "reason", None) != "blowup":
+        raise FitDegenerate(f"trajectory ended by {getattr(traj, 'reason', 'unknown')!r}, not blow-up")
 
 
 @dataclass
@@ -52,13 +67,10 @@ def estimate_T(traj, tail_fraction: float = 0.25) -> float:
     tail of 1/max|a| must actually decrease (a sign-definite fitted slope;
     pointwise monotonicity is not required, so mild noise is tolerated).
     """
-    if not (0.0 < tail_fraction <= 0.5):
-        raise ValueError("tail_fraction must lie in (0, 0.5]")
-    if getattr(traj, "reason", None) != "blowup":
-        raise FitDegenerate(f"trajectory ended by {getattr(traj, 'reason', 'unknown')!r}, not blow-up")
     t = np.asarray(traj.t, dtype=float)
-    y = 1.0 / np.asarray(traj.max_a, dtype=float)
     sl = _tail(len(t), tail_fraction)
+    _require_blowup(traj)
+    y = 1.0 / np.asarray(traj.max_a, dtype=float)
     tt, yy = t[sl], y[sl]
     if yy[-1] >= yy[0]:
         raise FitDegenerate("1/max|a| does not decrease over the tail")
@@ -88,7 +100,7 @@ def _stable_window(x, y):
     if n <= w + 1:
         return slice(0, n)
     starts = np.linspace(0, n - w, min(_N_CHUNKS, n - w + 1)).astype(int)
-    slopes = np.array([np.polyfit(x[s:s + w], y[s:s + w], 1)[0] for s in starts])
+    slopes = np.array([_linfit(x[s:s + w], y[s:s + w])[0] for s in starts])
     best_lo = best_hi = lo = 0
     for i in range(1, len(starts)):
         if abs(slopes[i] - slopes[i - 1]) > _DRIFT_TOL:
@@ -105,16 +117,18 @@ def fit_rates(traj, T_hat: float, tail_fraction: float = 0.25) -> BlowupFit:
 
     rate_a and nu_slope are fitted on the same tail used for T estimation;
     pointwise exponents are fitted on a per-height stable-slope window
-    (heights above Z = 0.5 are skipped).  A width scale nu that is not
-    finite on the tail, as where a_Z(t, 0) = 0, raises FitDegenerate.
+    (heights above Z = 0.5 are skipped).  Like estimate_T it takes only a
+    trajectory that ended in blow-up.  A width scale nu that is not finite
+    on the tail, as where a_Z(t, 0) = 0, raises FitDegenerate.
     """
     t = np.asarray(traj.t, dtype=float)
+    sl = _tail(len(t), tail_fraction)
+    _require_blowup(traj)
     if T_hat <= t[-1]:
         raise FitDegenerate("T_hat must exceed all sample times")
     logdist = np.log(T_hat - t)
     residuals = {}
 
-    sl = _tail(len(t), tail_fraction)
     rate_a, _, rms = _linfit(logdist[sl], np.log(np.asarray(traj.max_a)[sl]))
     residuals["rate_a"] = rms
 

@@ -13,6 +13,7 @@ D^-1 denotes the running integral from Z=0.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -397,22 +398,10 @@ def _march(x, clock, end, floor, max_steps, advance, row, stride=1):
     Returns the rows as a float64 array, the final x and the stop reason
     ("end", "max_steps" or "blowup").
 
-    Each row goes into a float64 block as it is made, not into a list of
-    boxed floats; the block doubles when full and is trimmed at the end."""
-    first = row(x)
-    rows = np.empty((64, len(first)))
-    rows[0] = first
-    m = 1
-
-    def record(x):
-        nonlocal rows, m
-        if m == len(rows):
-            grown = np.empty((2 * m, rows.shape[1]))
-            grown[:m] = rows
-            rows = grown
-        rows[m] = row(x)
-        m += 1
-
+    Each row is appended to one array("d") as it is made, not kept as a
+    tuple of boxed floats, and the rows are returned as a view of it."""
+    buf = array("d", row(x))
+    width = len(buf)
     for k in range(max_steps + 1):
         left = end - clock(x)
         if left < max(floor, 1e-15 * end):  # also past the end; an infinite end never lands
@@ -427,10 +416,10 @@ def _march(x, clock, end, floor, max_steps, advance, row, stride=1):
             break
         x = nxt
         if (k + 1) % stride == 0:
-            record(x)
+            buf.extend(row(x))
     if k % stride:
-        record(x)
-    return rows[:m].copy(), x, reason
+        buf.extend(row(x))
+    return np.frombuffer(buf).reshape(-1, width), x, reason
 
 
 def _run(state0: TraceState, cfg: SolverConfig) -> Trajectory:

@@ -1,14 +1,18 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from petrace.cli import main
 from petrace.errors import FitDegenerate
-from petrace.fitting import estimate_T, fit_rates, temperature_rates
+from petrace.fitting import _linfit, estimate_T, fit_rates, temperature_rates
+from petrace.initial_data import InitialDataSpec, build_profile_data
 from petrace.params import fixed_diffusive_choice, reference_sigma0_params
-from petrace.trace import Trajectory
+from petrace.trace import SolverConfig, Trajectory, run_to_blowup
 
 
 def synthetic_trajectory(t, max_a, probes_Z=(0.0, 0.25, 0.5), T=None, max_c=None,
@@ -73,6 +77,48 @@ class TestEstimateT:
         assert abs((T1 - T0) - 2.5) <= 1e-9
 
 
+class TestLineFit:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(5, 400), lo=st.floats(-20.0, 20.0), width=st.floats(0.1, 50.0),
+           slope=st.floats(-1e3, 1e3), intercept=st.floats(-1e3, 1e3),
+           noise=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_polyfit_on_noisy_lines(self, n, lo, width, slope, intercept, noise, seed):
+        rng = np.random.default_rng(seed)
+        x = np.sort(lo + width * rng.random(n))
+        x[0], x[-1] = lo, lo + width
+        y = slope * x + intercept + noise * rng.standard_normal(n)
+        ref_slope, ref_intercept = np.polyfit(x, y, 1)
+        got_slope, got_intercept, rms = _linfit(x, y)
+        assert abs(got_slope - ref_slope) <= 1e-10 * max(1.0, abs(ref_slope))
+        scale = max(1.0, abs(ref_intercept), abs(ref_slope * x.mean()))
+        assert abs(got_intercept - ref_intercept) <= 1e-10 * scale
+        resid = y - (ref_slope * x + ref_intercept)
+        assert abs(rms - math.sqrt(np.mean(resid**2))) <= 1e-10 * max(1.0, np.max(np.abs(y)))
+
+    # every straight line of a blow-up fit is fitted in closed form: the
+    # run, estimate_T, fit_rates and `petrace fit` go through without lstsq,
+    # svd or polyfit, whose first call faults in the LAPACK workspace
+    def test_blowup_fit_makes_no_lapack_call(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK-backed call on the blow-up fit path")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(np, "polyfit", refuse)
+        lam0 = 1e-2
+        spec = InitialDataSpec(lam0, 1.0 / math.log(1.0 / lam0), 0, kappa=0.1,
+                               perturbation_family="tail_balance")
+        traj = run_to_blowup(build_profile_data(spec, 129), SolverConfig(blowup_cap=1e5))
+        assert traj.reason == "blowup"
+        T_hat = estimate_T(traj)
+        fit = fit_rates(traj, T_hat)
+        assert abs(fit.rate_a - (-1.0)) <= 0.1 and len(fit.pointwise) == 3
+        traj.to_csv(tmp_path / "trajectory.csv")
+        assert main(["fit", "--out", str(tmp_path), "--quiet"]) == 0
+        reloaded = json.loads((tmp_path / "fit.json").read_text())
+        assert (reloaded["T_hat"], reloaded["rate_a"]) == (T_hat, fit.rate_a)
+
+
 class TestFitRates:
     def test_pure_power_laws(self):
         T = 1.0
@@ -125,6 +171,21 @@ class TestFitRates:
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "fit.json").exists()
+
+    def test_non_blowup_rejected(self):
+        T = 1.0
+        t = T - np.logspace(-1, -6, 700)
+        traj = synthetic_trajectory(t, 1.0 / (T - t), T=T, reason="t_max")
+        with pytest.raises(FitDegenerate, match="ended by 't_max', not blow-up"):
+            fit_rates(traj, T)
+
+    @pytest.mark.parametrize("tail_fraction", [0.0, -1.0, 0.9, math.nan])
+    def test_bad_tail_fraction_rejected(self, tail_fraction):
+        T = 1.0
+        t = T - np.logspace(-1, -6, 700)
+        traj = synthetic_trajectory(t, 1.0 / (T - t), T=T)
+        with pytest.raises(ValueError, match=r"tail_fraction must lie in \(0, 0.5\]"):
+            fit_rates(traj, T, tail_fraction=tail_fraction)
 
     def test_T_hat_must_exceed_samples(self):
         t = np.linspace(0.0, 1.0, 300)

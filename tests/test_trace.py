@@ -346,9 +346,10 @@ class TestRuns:
         if reason == "max_steps":
             assert len(taken) == 7
 
-    # the run loop keeps its rows unboxed: a block that doubles when full and
-    # one trimmed copy hold at most 3 records at once, where a list of
-    # tuples of floats costs about 6
+    # the run loop keeps its rows unboxed: one array("d"), over-allocated
+    # by about an eighth as it grows and returned as a view, never copied,
+    # peaks near 1.2 records (3 leaves room for a move as it grows), where a
+    # list of tuples of floats costs about 6
     def test_run_records_rows_unboxed(self):
         n = 33
         g = UNIT(n)
