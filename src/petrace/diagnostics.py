@@ -34,10 +34,12 @@ __all__ = [
 def weighted_integral(numerator: np.ndarray, grid, weight_exp: float, z_hi: float) -> float:
     """integral over (0, z_hi] of numerator(z) * z**weight_exp.
 
-    The z = 0 node is excluded: the vanishing-speed conditions make the
-    integrand's boundary limit zero, so the first cell gets the trapezoid
-    value with left limit 0.  Raises SingularWeight when the first-cell
-    integrand dwarfs the second-cell one (limit numerically nonzero).
+    The z = 0 node is excluded: the first cell gets the trapezoid value
+    with the integrand's limit at z = 0 taken as 0.  That value is exact
+    only when the limit vanishes, which the z = 0 vanishing conditions do
+    not ensure: with atil ~ a2 z^2, |atil_z|^2 z^-alpha tends to 4 a2^2 at
+    alpha = 2 (ROADMAP item 9).  Raises SingularWeight when the first-cell
+    integrand exceeds 10x the second cell's.
     """
     z = grid.nodes
     h = grid.h

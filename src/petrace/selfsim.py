@@ -18,13 +18,14 @@ of Grid(0, 1/nu, n).  Evolving at fixed xi takes the domain stretch out of
 the transport, and every map between the frames or between successive
 scales (decompose, reconstruct, the re-pinning after each step) sends node
 to node, so none of them interpolates.  decompose, build_state and
-step_selfsim make their states by one re-pinning path, _repin.
+step_selfsim make their states by one re-pinning path, _repin; every
+state is checked and computes its first RK stage on one path, _adopt.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -98,21 +99,25 @@ def s_from_lambda(lam: float) -> float:
     return s
 
 
-def _on_domain(g: Grid, hi: float) -> bool:
-    return abs(g.lo) <= 1e-12 and abs(g.hi - hi) <= 1e-9 * g.hi
+def _on_domain(g: Grid, nu: float) -> bool:
+    return 0.0 < nu < math.inf and abs(g.lo) <= 1e-12 and abs(g.hi - 1.0 / nu) <= 1e-9 * g.hi
 
 
-def _check_pinned(va, vc, h, lam, nu, sigma):
-    """The conditions every state meets: sigma 0 or 1, positive scales, atil
-    and its discrete slope vanishing at z = 0, and ctil vanishing on the
-    boundary (at z = 0, and for sigma=1 also at z = 1/nu)."""
+def _check_pinned(y, g, lam, nu, s, t, sigma):
+    """The conditions every state meets: sigma 0 or 1, positive finite
+    scales, a finite clock, atil and its discrete slope vanishing at z = 0,
+    ctil vanishing on the boundary (at z = 0, and for sigma=1 also at
+    z = 1/nu), and the domain [0, 1/nu]."""
+    va, vc = y
     if sigma not in (0, 1):
         raise ValueError("sigma must be 0 or 1")
-    if not (lam > 0.0 and nu > 0.0):
-        raise ValueError("lam and nu must be positive")
+    if not (0.0 < lam < math.inf and 0.0 < nu < math.inf):
+        raise ValueError("lam and nu must be positive and finite")
+    if not (math.isfinite(s) and math.isfinite(t)):
+        raise ValueError("s and t must be finite")
     if abs(va[0]) > _ORTH_TOL_VALUE:
         raise ValueError(f"atil(0) = {va[0]:g} violates the vanishing condition")
-    if abs(d1_at_lo(va, h)) > _ORTH_TOL_SLOPE:
+    if abs(d1_at_lo(va, g.h)) > _ORTH_TOL_SLOPE:
         raise ValueError("atil_z(0) violates the vanishing-slope condition")
     edge = abs(vc[0]) if sigma == 0 else max(abs(vc[0]), abs(vc[-1]))
     # the tolerance is relative to max|ctil| above 1, so that scan is only
@@ -120,6 +125,8 @@ def _check_pinned(va, vc, h, lam, nu, sigma):
     if edge > _ORTH_TOL_VALUE and edge > _ORTH_TOL_VALUE * max(1.0, float(np.max(np.abs(vc)))):
         raise ValueError("sigma=0 requires ctil(0) = 0" if sigma == 0
                          else "sigma=1 requires ctil(0) = ctil(1/nu) = 0")
+    if not _on_domain(g, nu):
+        raise ValueError("self-similar domain must be [0, 1/nu]")
 
 
 @lru_cache(maxsize=8)
@@ -134,8 +141,10 @@ def _lattice(n: int) -> np.ndarray:
 class SelfSimilarState:
     """Rescaled state on z in [0, 1/nu] at self-similar time s.
 
-    t tracks the accumulated physical time (dt = lam ds) and is purely
-    bookkeeping.
+    t is the physical time, a running sum of dt = lam ds that stops moving
+    once lam ds falls below one ulp of t: run from tests/helpers.deep_state(0)
+    (s = 35, t = 0) to s = 100, it stalls at s ~ 68.4, and its last 1778
+    rows hold 14 distinct values (ROADMAP item 8).
     """
 
     atil: Field
@@ -145,54 +154,45 @@ class SelfSimilarState:
     s: float
     sigma: int
     t: float = 0.0
-
-    # On a re-pinned state (decompose, build_state, step_selfsim): the
-    # zero-average defect its re-pinning left unprojected (None when the
-    # projection fired).
+    # Made once, by _adopt, with the state: the stacked (atil, ctil) samples,
+    # of which atil and ctil are views, and the first RK stage at (lam, nu)
+    # that stable_ds and step_selfsim read, all read-only.  On a re-pinned
+    # state (decompose, build_state, step_selfsim), the zero-average defect
+    # its re-pinning left unprojected (None when the projection fired).
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _stage1: _Stage = field(init=False, repr=False, compare=False)
     _lost_defect = None
 
     def __post_init__(self):
         g = self.atil.grid
         if g != self.ctil.grid:
             raise ValueError("atil and ctil must share a grid")
-        _check_pinned(self.atil.values, self.ctil.values, g.h, self.lam, self.nu, self.sigma)
-        if not _on_domain(g, 1.0 / self.nu):
-            raise ValueError("self-similar domain must be [0, 1/nu]")
+        self._adopt(np.stack((self.atil.values, self.ctil.values)), g)
 
     @classmethod
     def _from_rows(cls, y, g, lam, nu, s, sigma, t, lost_defect):
-        """The state on the stacked rows y = (atil, ctil) on grid g, which
-        _repin has validated; y is frozen and becomes the state's samples
-        without a copy."""
-        y.flags.writeable = False
+        """The state on the stacked rows y = (atil, ctil) on grid g: _repin's
+        constructor, which skips the copies Field makes."""
         st = object.__new__(cls)
-        st.__dict__.update(atil=Field._trusted(g, y[0]), ctil=Field._trusted(g, y[1]),
-                           lam=lam, nu=nu, s=s, sigma=sigma, t=t, _rows=y,
-                           _lost_defect=lost_defect)
+        st.__dict__.update(lam=lam, nu=nu, s=s, sigma=sigma, t=t, _lost_defect=lost_defect)
+        st._adopt(y, g)
         return st
+
+    def _adopt(self, y, g):
+        """Take the stacked rows y = (atil, ctil) on grid g as the samples,
+        without a copy, after the checks every state passes, and compute
+        the first RK stage at (lam, nu) on the nodes xi/nu once."""
+        n, lam, nu, sigma = g.n, self.lam, self.nu, self.sigma
+        _check_pinned(y, g, lam, nu, self.s, self.t, sigma)
+        sg = _scale_rates(y, _lattice(n) / nu, (1.0 / nu) / (n - 1), lam, nu, sigma)
+        for arr in (y, sg.z, sg.ph, sg.em1, sg.P0, sg.P1):
+            arr.flags.writeable = False
+        self.__dict__.update(atil=Field._trusted(g, y[0]), ctil=Field._trusted(g, y[1]),
+                             _rows=y, _stage1=sg)
 
     @property
     def grid(self) -> Grid:
         return self.atil.grid
-
-    @cached_property
-    def _rows(self) -> np.ndarray:
-        """The stacked (atil, ctil) samples, read-only."""
-        y = np.stack((self.atil.values, self.ctil.values))
-        y.flags.writeable = False
-        return y
-
-    @cached_property
-    def _stage1(self) -> "_Stage":
-        """The first RK stage at this state's own (lam, nu), on the nodes
-        xi/nu, computed once: stable_ds and step_selfsim both read it.  Its
-        arrays are read-only."""
-        n, nu = self.grid.n, self.nu
-        sg = _scale_rates(self._rows, _lattice(n) / nu, (1.0 / nu) / (n - 1),
-                          self.lam, nu, self.sigma)
-        for arr in (sg.z, sg.ph, sg.em1, sg.P0, sg.P1):
-            arr.flags.writeable = False
-        return sg
 
     def zero_average_defect(self) -> float:
         """int (phi + atil) dz; zero for states reachable from zero-mean
@@ -356,9 +356,7 @@ def _repin(amp, vc, lam, sigma, s, t) -> SelfSimilarState:
     lost = _project_zero_average(y[0], z, g.h, ez)
     if sigma == 1:
         y[1, -1] = 0.0
-    lam = lam / a0
-    _check_pinned(y[0], y[1], g.h, lam, nu, sigma)
-    return SelfSimilarState._from_rows(y, g, lam, nu, s, sigma, t, lost)
+    return SelfSimilarState._from_rows(y, g, lam / a0, nu, s, sigma, t, lost)
 
 
 def decompose(a: Field, c: Field, sigma: int, s0: float) -> SelfSimilarState:
@@ -398,7 +396,7 @@ def build_state(atil: Field, ctil: Field, lam: float, nu: float, s: float,
     moves the mismatch into the scales.  ctil(0) must already be 0.
     """
     g = atil.grid
-    if ctil.grid != g or not _on_domain(g, 1.0 / nu):
+    if ctil.grid != g or not _on_domain(g, nu):
         raise ValueError("build_state needs atil and ctil on one grid on [0, 1/nu]")
     return _repin(np.exp(-g.nodes) + atil.values, ctil.values, lam, sigma, s, t)
 
@@ -426,8 +424,8 @@ def step_selfsim(st: SelfSimilarState, ds: float) -> SelfSimilarState:
 
     Each stage evaluates the right-hand side on the nodes z = xi/nu of its
     own nu, so the domain stretch belongs to the frame and the transport
-    keeps only -D^-1(phi + atil); the first stage is the state's own, which
-    stable_ds may already have computed.  For sigma=1 the diffusion is
+    keeps only -D^-1(phi + atil); the first stage is the state's own,
+    computed when the state was made.  For sigma=1 the diffusion is
     applied as two Crank-Nicolson half steps around the advection/reaction
     update (Strang), on the grid of the scale before and after the step.
     Afterwards _repin re-pins the scales so the perturbation and its
@@ -525,8 +523,8 @@ def stable_ds(st: SelfSimilarState, ds_safety: float = SelfsimConfig.ds_safety) 
     """CFL-style step: the transport speed at fixed z (including the domain
     stretch term, which dominates at the right edge) against the grid
     spacing.  The stepper transports at fixed xi, where the stretch term is
-    absent, so this bound is conservative there.  It reads the state's first
-    RK stage, which the step from the state then reuses."""
+    absent, so this bound is conservative there.  It reads the first RK
+    stage that the state computed when it was made, as the step does."""
     sg = st._stage1
     speed = sg.dnu * sg.z + sg.em1 - sg.P0
     wmax = float(np.max(np.abs(speed)))

@@ -60,6 +60,8 @@ class TraceState:
     def __post_init__(self):
         if self.sigma not in (0, 1):
             raise ValueError("sigma must be 0 or 1")
+        if not math.isfinite(self.t):
+            raise ValueError(f"t must be finite, got {self.t!r}")
         ga, gc = self.a.grid, self.c.grid
         if ga != gc:
             raise ValueError("a and c must share a grid")

@@ -1,4 +1,5 @@
-"""State constructions shared across test modules."""
+"""State constructions and run digests shared across test modules."""
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,15 @@ import numpy as np
 from petrace.grid import Field, Grid, definite
 from petrace.params import FrameworkParams
 from petrace.selfsim import SelfSimilarState, build_state, phi, psi
+
+
+def run_digest(columns, *final_rows) -> str:
+    """SHA-256 of a run's columns, stacked row by row, then of its final
+    samples: what each bitwise pin compares."""
+    h = hashlib.sha256(np.column_stack(columns).tobytes())
+    for v in final_rows:
+        h.update(v.tobytes())
+    return h.hexdigest()
 
 
 def bare_profile_state(nu=0.125, n=1025, sigma=0, lam=None, s=8.0, ctil_fn=None):

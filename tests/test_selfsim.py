@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,17 @@ from petrace.selfsim import (
     step_selfsim,
 )
 
-from helpers import balanced_state, bare_profile_state, deep_params
+from helpers import balanced_state, bare_profile_state, deep_params, run_digest
+
+# SHA-256 (helpers.run_digest) of every column and the final rows of
+# test_rescaled_run_is_pinned_bitwise, by sigma.  np.exp enters every stage
+# (and numpy's FFT the sigma=1 diffusion), so they pin the numpy build too.
+# A change that alters the rescaled step's arithmetic on purpose updates
+# them and says why.
+RESCALED_DIGESTS = {
+    0: "6376e27ab375b6e0ccc0cf0ee50d0e4828a26c846a74138dc39b3dbad486930c",
+    1: "bb56b2adc8c438a1f73533e2d54a5c9c98ee4282f84388186515cf0d852bb024",
+}
 
 
 class TestScalesClock:
@@ -51,6 +62,35 @@ class TestScalesClock:
             s = s_from_lambda(lam)
             assert s >= 1.0
             assert abs(s * math.exp(-s) - lam) <= 4.0 * np.finfo(float).eps * lam, lam
+
+
+# a non-positive or non-finite scale, or a non-finite clock
+BAD_SCALES_AND_CLOCKS = [("lam", 0.0), ("lam", math.nan), ("lam", math.inf), ("nu", 0.0),
+                         ("nu", math.nan), ("nu", math.inf), ("s", math.nan), ("t", math.nan)]
+
+
+class TestConstruction:
+    # an input error, reported as one before any numpy warning: the state
+    # computes its first RK stage when it is made
+    @pytest.mark.parametrize("make", [SelfSimilarState, build_state],
+                             ids=["SelfSimilarState", "build_state"])
+    @pytest.mark.parametrize("key, value", BAD_SCALES_AND_CLOCKS)
+    def test_rejects_a_bad_scale_or_clock(self, make, key, value):
+        st = balanced_state(s0=12.0, n=257, c_amp=1e-4)
+        args = dict(lam=st.lam, nu=st.nu, s=st.s, sigma=0, t=0.0)
+        args[key] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                make(st.atil, st.ctil, **args)
+
+    def test_decompose_rejects_a_non_finite_epoch(self):
+        g = Grid(0.0, 1.0, 129)
+        a = Field(g, np.exp(-g.nodes / 0.1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                decompose(a, Field(g, np.zeros(g.n)), 0, s0=math.nan)
 
 
 class TestDecompose:
@@ -514,6 +554,16 @@ class TestRun:
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + 4 + 1
         assert lines[-1] == "# reason=max_steps"
+
+    @pytest.mark.parametrize("sigma", [0, 1])
+    def test_rescaled_run_is_pinned_bitwise(self, sigma):
+        st = balanced_state(s0=12.0, n=257, sigma=sigma, c_amp=1e-4)
+        traj = run_selfsim(st, SelfsimConfig(s_end=20.0, max_steps=50, params=deep_params(sigma)))
+        assert traj.reason == "max_steps" and len(traj.s) == 51
+        end = traj.final_state
+        cols = [traj.s, traj.lam, traj.nu, traj.max_atil, traj.max_ctil, traj.t, traj.Ia2,
+                traj.Ea2, traj.Ic2_or_T, traj.Ec2, traj.trapped, traj.ctil_edge]
+        assert run_digest(cols, end.atil.values, end.ctil.values) == RESCALED_DIGESTS[sigma]
 
     def test_t_accumulates_lambda(self):
         st = balanced_state(s0=12.0)

@@ -10,11 +10,12 @@ The tests check that it recovers the scale of a sampled exponential, that
 it zeroes the slope of any five-sample head that has a root, and that a
 head without one raises ScaleFitFailure carrying beta.
 
-A state computes its first RK stage once, on first use, and stable_ds and
-step_selfsim share it.  The tests below check that sharing it changes no
-bit: the step size and the stage's rates of (lam, nu) against a fresh
-evaluation, a step with and without a prior stable_ds, and a run against
-the hand-written loop.
+A state computes its first RK stage once, when it is made, on one path
+for every constructor, and stable_ds and step_selfsim share it.  The tests
+below check that sharing it changes no bit: the step size and the stage's
+rates of (lam, nu) against a fresh evaluation, on states from build_state,
+the public constructor, decompose and a step; a step with and without a
+prior stable_ds; and a run against the hand-written loop.
 """
 import math
 
@@ -217,7 +218,7 @@ def fresh_stage(state):
 
 
 def copy_of(state):
-    """An equal state that has computed nothing yet."""
+    """An equal state, made by the public constructor."""
     return SelfSimilarState(state.atil, state.ctil, state.lam, state.nu, state.s,
                             state.sigma, state.t)
 
@@ -240,18 +241,25 @@ def outcome(fn):
 @settings(max_examples=40, deadline=None)
 @given(balanced_states())
 def test_stable_ds_and_rates_equal_a_fresh_stage_bitwise(state):
-    sg = fresh_stage(state)
-    speed = sg.dnu * sg.z + sg.em1 - sg.P0
-    assert stable_ds(state, 0.3) == 0.3 * sg.h / max(1.0, float(np.max(np.abs(speed))))
-    assert (state._stage1.dlam, state._stage1.dnu) == (sg.dlam, sg.dnu)
-    # after the sigma=1 leading half step only ctil changes; the shortcut
-    # that keeps the atil parts is bitwise a fresh evaluation too
-    vc = 0.5 * state.ctil.values
-    short = _with_ctil(state._stage1, vc, state.lam, state.nu, state.sigma)
-    y = np.stack((state.atil.values, vc))
-    full = _scale_rates(y, sg.z, sg.h, state.lam, state.nu, state.sigma)
-    assert np.array_equal(short.P1, full.P1) and np.array_equal(short.P0, full.P0)
-    assert (short.I2, short.dlam, short.dnu) == (full.I2, full.dlam, full.dnu)
+    # a state from build_state, the public constructor, decompose and a step
+    made = [state, copy_of(state),
+            outcome(lambda: decompose(*reconstruct(state), state.sigma, state.s)),
+            outcome(lambda: step_selfsim(state, stable_ds(state)))]
+    for st in made:
+        if not isinstance(st, SelfSimilarState):
+            continue
+        sg = fresh_stage(st)
+        speed = sg.dnu * sg.z + sg.em1 - sg.P0
+        assert stable_ds(st, 0.3) == 0.3 * sg.h / max(1.0, float(np.max(np.abs(speed))))
+        assert (st._stage1.dlam, st._stage1.dnu) == (sg.dlam, sg.dnu)
+        # after the sigma=1 leading half step only ctil changes; the shortcut
+        # that keeps the atil parts is bitwise a fresh evaluation too
+        vc = 0.5 * st.ctil.values
+        short = _with_ctil(st._stage1, vc, st.lam, st.nu, st.sigma)
+        y = np.stack((st.atil.values, vc))
+        full = _scale_rates(y, sg.z, sg.h, st.lam, st.nu, st.sigma)
+        assert np.array_equal(short.P1, full.P1) and np.array_equal(short.P0, full.P0)
+        assert (short.I2, short.dlam, short.dnu) == (full.I2, full.dlam, full.dnu)
 
 
 @settings(max_examples=40, deadline=None)
@@ -260,7 +268,6 @@ def test_step_does_not_depend_on_a_prior_stable_ds(state):
     ds = 0.8 * stable_ds(copy_of(state))
     warm, cold = copy_of(state), copy_of(state)
     stable_ds(warm)
-    assert "_stage1" in vars(warm) and "_stage1" not in vars(cold)
     a = outcome(lambda: step_selfsim(warm, ds))
     b = outcome(lambda: step_selfsim(cold, ds))
     if isinstance(a, SelfSimilarState):

@@ -1,4 +1,3 @@
-import hashlib
 import math
 import tracemalloc
 
@@ -17,12 +16,16 @@ from petrace.trace import (
     step,
 )
 
+from helpers import run_digest
+
 UNIT = lambda n: Grid(0.0, 1.0, n)
 
-# SHA-256 of the rows and final samples of test_sigma0_run_is_pinned_bitwise.
+# SHA-256 (helpers.run_digest) of the rows and final samples of
+# test_sigma0_run_is_pinned_bitwise and test_sigma1_run_is_pinned_bitwise.
 # A change that alters the arithmetic of the physical step on purpose
-# updates it and says why.
+# updates them and says why.
 SIGMA0_DIGEST = "925303796b4416b6499359063cd8e775b4b3898b218f848d0fefe98340fc21d1"
+SIGMA1_DIGEST = "d099cd979425690275012d7ce6849be497c8e6795d00eefe69e06a4667bed6d6"
 
 
 def zero_state(n=129, sigma=0):
@@ -48,6 +51,24 @@ def profile_state(lam0, nu0, n, sigma=0, c_amp=0.0):
     return TraceState(Field(g, a), Field(g, c), sigma)
 
 
+def pinned_run_digest(sigma):
+    """Digest of a 200-step run from polynomial data; c = Z^2 (1 - Z)
+    vanishes at both ends, as sigma=1 requires."""
+    n = 257
+    g = UNIT(n)
+    Z = np.arange(n) / (n - 1.0)
+    p = 4.0 * (1.0 - Z) * (1.0 - Z) * (1.0 - Z) - Z * Z
+    a = p - definite(p, g.h)
+    c = Z * Z * (1.0 - Z)
+    traj = run_to_blowup(TraceState(Field(g, a), Field(g, c), sigma),
+                         SolverConfig(max_steps=200))
+    assert traj.reason == "max_steps" and len(traj.t) == 201
+    end = traj.final_state
+    return run_digest([traj.t, traj.max_a, traj.max_c, traj.mean_a, traj.dt, traj.a0,
+                       traj.aZ0, traj.drift_rate, traj.probes],
+                      end.a.values, end.c.values)
+
+
 class TestStateInvariants:
     def test_nonzero_mean_rejected(self):
         g = UNIT(64)
@@ -60,6 +81,11 @@ class TestStateInvariants:
         c = np.ones(64)  # violates c(0)=c(1)=0
         with pytest.raises(ValueError):
             TraceState(Field(g, a), Field(g, c), 1)
+
+    def test_non_finite_time_rejected(self):
+        g = UNIT(64)
+        with pytest.raises(ValueError, match="finite"):
+            TraceState(Field(g, np.zeros(64)), Field(g, np.zeros(64)), 0, t=math.nan)
 
     def test_wrong_domain_rejected(self):
         g = Grid(0.0, 2.0, 64)
@@ -371,19 +397,12 @@ class TestRuns:
     # polynomial data (+, -, *, / only) and no FFT in a sigma=0 step, so the
     # digest does not depend on the numpy build (on little-endian hosts)
     def test_sigma0_run_is_pinned_bitwise(self):
-        n = 257
-        g = UNIT(n)
-        Z = np.arange(n) / (n - 1.0)
-        p = 4.0 * (1.0 - Z) * (1.0 - Z) * (1.0 - Z) - Z * Z
-        a = p - definite(p, g.h)
-        c = Z * Z * (1.0 - Z)
-        traj = run_to_blowup(TraceState(Field(g, a), Field(g, c), 0), SolverConfig(max_steps=200))
-        assert traj.reason == "max_steps" and len(traj.t) == 201
-        rows = np.column_stack([traj.t, traj.max_a, traj.max_c, traj.mean_a, traj.dt, traj.a0,
-                                traj.aZ0, traj.drift_rate, traj.probes])
-        end = traj.final_state
-        digest = hashlib.sha256(rows.tobytes() + end.a.values.tobytes() + end.c.values.tobytes())
-        assert digest.hexdigest() == SIGMA0_DIGEST
+        assert pinned_run_digest(0) == SIGMA0_DIGEST
+
+    # the Crank-Nicolson half steps go through numpy's FFT, so this digest
+    # also pins the numpy build's FFT
+    def test_sigma1_run_is_pinned_bitwise(self):
+        assert pinned_run_digest(1) == SIGMA1_DIGEST
 
     def test_sigma0_axis_temperature_pinned(self):
         # c(Z=0) stays put when it starts at zero: the axis value is
