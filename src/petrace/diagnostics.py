@@ -84,7 +84,6 @@ class EnergyReport:
     Ec2: float
     T_k_eta: float
     s: float
-    sigma: int
 
 
 def energy_report(st: SelfSimilarState, p: FrameworkParams) -> EnergyReport:
@@ -108,7 +107,7 @@ def energy_report(st: SelfSimilarState, p: FrameworkParams) -> EnergyReport:
         eta = int(p.eta0)
         T_pow = weighted_integral(st.ctil.values ** (2 * eta), g, -p.k * eta, g.hi)
         T = T_pow ** (1.0 / (2 * eta)) if T_pow > 0.0 else 0.0
-    return EnergyReport(Ia2, Ea2, Ic2, Ec2, T, st.s, st.sigma)
+    return EnergyReport(Ia2, Ea2, Ic2, Ec2, T, st.s)
 
 
 # ---------------------------------------------------------------------------

@@ -166,17 +166,6 @@ class TemperatureReport:
     template_p: float | None = None   # sigma=1: fit to exp(-p s) s^xi
     template_xi: float | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "measured": self.measured,
-            "bound": self.bound,
-            "pass": self.passed,
-            "trivially_zero": self.trivially_zero,
-            "template_p": self.template_p,
-            "template_xi": self.template_xi,
-        }
-
 
 def temperature_rates(traj, T_hat: float | None, sigma: int, params=None,
                       tail_fraction: float = 0.5) -> TemperatureReport:

@@ -132,23 +132,15 @@ def definite(v: np.ndarray, h: float) -> float | np.ndarray:
     for a stack.
 
     Only the Simpson pair sums and their running sum are formed, not the
-    odd-node half cells.  1-D samples keep a path of their own: indexing
-    along the last axis would make 0-d arrays there, slower to add.
+    odd-node half cells; an even node count adds the trapezoid tail.
     """
     n = v.shape[-1]
     m = (n - 1) // 2
-    if v.ndim > 1:
-        total = (np.add.accumulate(_simpson_pairs(*_pair_nodes(v, m), h), axis=-1)[..., -1]
-                 if m > 0 else np.zeros(v.shape[:-1]))
-        if n % 2 == 0:
-            total = total + 0.5 * h * (v[..., -2] + v[..., -1])
-        return total
-    total = 0.0
-    if m > 0:
-        total = np.add.accumulate(_simpson_pairs(*_pair_nodes(v, m), h))[-1]
+    total = (np.add.accumulate(_simpson_pairs(*_pair_nodes(v, m), h), axis=-1)[..., -1]
+             if m > 0 else np.zeros(v.shape[:-1]))
     if n % 2 == 0:
-        total = total + 0.5 * h * (v[-2] + v[-1])
-    return float(total)
+        total = total + 0.5 * h * (v[..., -2] + v[..., -1])
+    return float(total) if v.ndim == 1 else total
 
 
 # One-sided 4th-order edge stencils of d1, laid out for a gather: column j

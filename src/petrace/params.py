@@ -84,12 +84,6 @@ class Verdict:
                 seen.append(c.line)
         return seen
 
-    def line(self, name: str) -> bool:
-        relevant = [c for c in self.checks if c.line == name]
-        if not relevant:
-            raise KeyError(name)
-        return all(c.passed for c in relevant)
-
     def to_json(self) -> list[dict]:
         return [c.as_dict() for c in self.checks]
 

@@ -432,12 +432,13 @@ def step_selfsim(st: SelfSimilarState, ds: float) -> SelfSimilarState:
     discrete slope vanish at z = 0 exactly, and the nodes xi/nu of the
     re-pinned nu take the old samples node for node.
 
-    Raises NonFiniteState when the scales leave the float range or a sample
-    is not finite: the step ran away.  The samples are scanned before nu is
-    pinned, so a non-finite sample that the pin reads is reported as such.
+    Raises ValueError unless 0 <= ds < inf, and NonFiniteState when the
+    scales leave the float range or a sample is not finite: the step ran
+    away.  The samples are scanned before nu is pinned, so a non-finite
+    sample that the pin reads is reported as such.
     """
-    if ds < 0.0:
-        raise ValueError("ds must be non-negative")
+    if not 0.0 <= ds < math.inf:
+        raise ValueError(f"ds must be non-negative and finite, got {ds!r}")
     if ds == 0.0:
         return st
     n, sigma = st.grid.n, st.sigma

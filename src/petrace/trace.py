@@ -107,7 +107,7 @@ class TraceState:
 class SolverConfig:
     n: int = 1025                     # not read: the initial state sets the grid
     dt_safety: float = 0.5
-    blowup_cap: float | None = None   # None: resolved to 1e6 * max|a0| at run start
+    blowup_cap: float | None = None   # None: run_to_blowup caps at 1e6 * max|a0|, else no cap
     t_max: float = math.inf
     max_steps: int = 5_000_000
     probe_Z: tuple[float, ...] = (0.0, 0.25, 0.5)
@@ -240,10 +240,13 @@ def step(state: TraceState, cfg: SolverConfig, dt_cap: float | None = None) -> S
     The step reads the state's stacked rows and running integrals, and
     the stepped state passes the checks of a constructed one.
 
-    Raises TimeStepUnderflow when the stable step falls below
+    Raises ValueError for a ``dt_cap`` that is not positive (NaN
+    included), TimeStepUnderflow when the stable step falls below
     ``_DT_FLOOR``, and NonFiniteState when a sample of the result is not
     finite: the step ran away.
     """
+    if dt_cap is not None and not dt_cap > 0.0:
+        raise ValueError(f"dt_cap must be positive, got {dt_cap!r}")
     cap = cfg.blowup_cap if cfg.blowup_cap is not None else math.inf
     if state.max_a >= cap:
         return StepResult(state, 0.0, True)
@@ -387,8 +390,9 @@ def run_to_blowup(state0: TraceState, cfg: SolverConfig) -> Trajectory:
 
 
 def run_to_time(state0: TraceState, cfg: SolverConfig, t_end: float) -> Trajectory:
-    """Step until physical time t_end, landing on it exactly."""
-    return _run(state0, replace(cfg, t_max=min(cfg.t_max, t_end)))
+    """Step until physical time t_end, landing on it exactly; t_end takes
+    the place of ``cfg.t_max``."""
+    return _run(state0, replace(cfg, t_max=t_end))
 
 
 def _march(x, clock, end, floor, max_steps, advance, row, stride=1):
@@ -430,6 +434,8 @@ def _run(state0: TraceState, cfg: SolverConfig) -> Trajectory:
     max|c|, mean of a, dt, a(t,0), a_Z(t,0), drift rate, a at each probe
     node).  A stable step below the floor is not a stop reason:
     TimeStepUnderflow propagates, as it does from run_selfsim."""
+    if cfg.t_max < state0.t:
+        raise ValueError(f"t_max={cfg.t_max:g} lies before the start t={state0.t:g}")
     idx = _probe_indices(state0.grid, cfg.probe_Z)
     h = state0.grid.h
 

@@ -282,6 +282,7 @@ class TestModes:
         ("simulate", "solver.max_steps=-3", "max_steps"),
         ("simulate", "solver.max_steps=0", "max_steps"),
         ("selfsim", "selfsim.s_end=1", "s_end"),
+        ("simulate", "solver.t_max=-1", "t_max"),
     ])
     def test_empty_run_exits_2(self, tmp_path, capsys, mode, setting, name):
         code = run_cli(mode, "--out", str(tmp_path / "run"), "--quiet",

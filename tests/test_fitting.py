@@ -235,5 +235,3 @@ class TestTemperatureRates:
         fit = fit_rates(traj, T)
         js = fit.to_json()
         assert set(js) == {"T_hat", "rate_a", "nu_slope", "pointwise", "residuals"}
-        rep = temperature_rates(traj, T, 0)
-        assert rep.to_json()["sigma"] == 0

@@ -348,6 +348,14 @@ class TestStep:
         with pytest.raises(ValueError):
             step_selfsim(balanced_state(s0=10.0), -0.1)
 
+    # an input error, not a numerical failure: a ValueError before any
+    # arithmetic, neither NonFiniteState nor a numpy warning
+    @pytest.mark.parametrize("ds", [math.nan, math.inf])
+    def test_non_finite_ds_rejected(self, ds):
+        st = balanced_state(s0=12.0, n=257, c_amp=1e-4)
+        with pytest.raises(ValueError, match="ds must"):
+            step_selfsim(st, ds)
+
     def test_small_step_from_bare_profile(self):
         nu = 0.125
         st = bare_profile_state(nu=nu, n=2049)

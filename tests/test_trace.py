@@ -332,6 +332,19 @@ class TestRuns:
         assert traj.reason == "t_max"
         assert traj.t[-1] >= 0.5
 
+    # an end the run cannot reach is an input error, raised before any step
+    @pytest.mark.parametrize("t_end", [math.nan, -1.0])
+    def test_run_to_time_rejects_an_unreachable_end(self, t_end):
+        st = profile_state(0.5, 0.25, 65)
+        with pytest.raises(ValueError, match="t_max"):
+            run_to_time(st, SolverConfig(max_steps=50), t_end)
+
+    @pytest.mark.parametrize("dt_cap", [math.nan, 0.0, -1.0])
+    def test_step_rejects_a_dt_cap_that_is_not_positive(self, dt_cap):
+        st = profile_state(0.5, 0.25, 65)
+        with pytest.raises(ValueError, match="dt_cap"):
+            step(st, SolverConfig(), dt_cap=dt_cap)
+
     def test_run_to_time_lands_exactly(self):
         st = profile_state(0.5, 0.25, 129)
         traj = run_to_time(st, SolverConfig(), 0.05)
