@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import initial_data, selfsim
@@ -267,7 +268,7 @@ def _mode_redecompose(cfg, outdir, quiet):
 
 
 def _sweep_one(sub_mode, sub, subdir):
-    """One sweep sub-run, in a pool worker: its exit code and what it printed."""
+    """One sweep sub-run, in a forked child: its exit code and what it printed."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = _DISPATCH[sub_mode](sub, subdir, True)
@@ -278,13 +279,14 @@ def _mode_sweep(cfg, outdir, quiet):
     """Run one sub-run per swept value, each into its own ``sweep_NNN/``.
 
     Every value is parsed and every ``resolved.config`` written before any
-    sub-run starts.  The sub-runs are independent and CPU-bound, so they
-    run in worker processes, one per usable CPU at most.  The workers are
-    forked: they inherit the imported package, where ``spawn`` and
-    ``forkserver`` workers import numpy and petrace again, which
-    made a two-value sweep slower.  What the sub-runs print is written in
-    value order, and the first failure in value order cancels the sub-runs
-    not yet started and is raised as the worker raised it.
+    sub-run starts.  Each sub-run runs in a child forked by
+    ``forked.fork_each``, one per usable CPU at most; forked children inherit
+    the imported package, where ``spawn`` workers import numpy and petrace
+    again, which made a two-value sweep slower.  The children start in value
+    order, the next as soon as any ends.  What they print is written in
+    value order.  After a failure no further sub-run starts, and the first
+    failure in value order is raised as the sub-run raised it; a sub-run that
+    ended without a result raises ``PetraceError`` (exit 2).
     """
     key = cfg["sweep.param"]
     if key not in REGISTRY:
@@ -304,23 +306,19 @@ def _mode_sweep(cfg, outdir, quiet):
         subdir.mkdir(parents=True, exist_ok=True)
         write_resolved(sub, subdir)
 
-    # imported here, not at the top: only a sweep needs the pool, and its
-    # modules add about 0.4 MB and 6 ms to every import of this module
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from .forked import fork_each  # only a sweep forks
 
-    pool = ProcessPoolExecutor(min(len(subs), len(os.sched_getaffinity(0))),
-                               mp_context=multiprocessing.get_context("fork"))
+    outcomes = fork_each([partial(_sweep_one, sub_mode, sub, subdir)
+                          for sub, subdir in zip(subs, subdirs)],
+                         [f"sweep sub-run {subdir.name}" for subdir in subdirs],
+                         min(len(subs), len(os.sched_getaffinity(0))))
     codes = []
-    try:
-        futures = [pool.submit(_sweep_one, sub_mode, sub, subdir)
-                   for sub, subdir in zip(subs, subdirs)]
-        for fut in futures:
-            code, text = fut.result()
-            sys.stdout.write(text)
-            codes.append(code)
-    finally:
-        pool.shutdown(cancel_futures=True)
+    for ok, result in outcomes:
+        if not ok:
+            raise result
+        code, text = result
+        sys.stdout.write(text)
+        codes.append(code)
     _emit(f"sweep: {len(values)} runs over {key}", quiet)
     return max(codes)
 

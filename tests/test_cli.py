@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import pickle
 import time
 
@@ -415,7 +416,7 @@ SWEEP_SIMULATE = ("--set", "sweep.mode=simulate", "--set", "init.n=513",
 
 
 class TestSweep:
-    """The sweep runs its sub-runs in worker processes; its output must be
+    """The sweep forks one child process per sub-run; its output must be
     what running them one after another gives."""
 
     def test_sub_runs_match_stand_alone_runs(self, tmp_path):
@@ -460,6 +461,66 @@ class TestSweep:
         assert code == 3
         assert "numerical failure: no spatial scale pins" in capsys.readouterr().err
 
+    def test_first_failure_cancels_the_sub_runs_not_started(self, tmp_path, monkeypatch):
+        redecompose = initial_data.redecompose
+
+        def fail_first(lam, nu, atil0):
+            if atil0 == 0.0:
+                raise errors.FitDegenerate("the first value fails")
+            return redecompose(lam, nu, atil0)
+
+        monkeypatch.setattr(initial_data, "redecompose", fail_first)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        out = tmp_path / "re"
+        assert run_cli("sweep", "--out", str(out), "--quiet",
+                       "--set", "sweep.mode=redecompose",
+                       "--set", "sweep.param=redecompose.atil0",
+                       "--set", "sweep.values=0,1,2,3") == 3
+        for i in range(1, 4):
+            assert [f.name for f in (out / f"sweep_{i:03d}").iterdir()] == ["resolved.config"]
+
+    def test_lost_sub_run_exits_2_and_leaves_no_child(self, tmp_path, monkeypatch, capsys):
+        redecompose = initial_data.redecompose
+
+        def die_on_second(lam, nu, atil0):
+            if atil0 == 1.0:
+                os._exit(9)
+            return redecompose(lam, nu, atil0)
+
+        monkeypatch.setattr(initial_data, "redecompose", die_on_second)
+        assert run_cli("sweep", "--out", str(tmp_path / "re"), "--quiet",
+                       "--set", "sweep.mode=redecompose",
+                       "--set", "sweep.param=redecompose.atil0",
+                       "--set", "sweep.values=0,1,2") == 2
+        err = capsys.readouterr().err
+        assert "sweep_001" in err and "exit status 9" in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_slow_value_holds_back_no_later_value(self, tmp_path, monkeypatch):
+        # value 0 runs until value 3 has run: with two CPUs, values 1, 2 and
+        # 3 must take turns on the other one while value 0 still runs
+        redecompose = initial_data.redecompose
+        marker = tmp_path / "value_3_ran"
+
+        def gated(lam, nu, atil0):
+            if atil0 == 0.0:
+                deadline = time.monotonic() + 10.0
+                while not marker.exists():
+                    if time.monotonic() > deadline:
+                        raise errors.FitDegenerate("value 3 never ran")
+                    time.sleep(0.01)
+            if atil0 == 3.0:
+                marker.touch()
+            return redecompose(lam, nu, atil0)
+
+        monkeypatch.setattr(initial_data, "redecompose", gated)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert run_cli("sweep", "--out", str(tmp_path / "re"), "--quiet",
+                       "--set", "sweep.mode=redecompose",
+                       "--set", "sweep.param=redecompose.atil0",
+                       "--set", "sweep.values=0,1,2,3") == 0
+
     def test_unparsable_value_exits_2_before_any_sub_run(self, tmp_path):
         out = tmp_path / "bad"
         assert run_cli("sweep", "--out", str(out), "--quiet",
@@ -485,7 +546,7 @@ class TestSweep:
         assert "lambda0 must lie in" in capsys.readouterr().err
 
     def test_errors_survive_pickling(self):
-        # a sub-run's error travels back from its worker process pickled
+        # a sub-run's error travels back from its child process pickled
         made = {errors.ScaleFitFailure: (25.5,)}
         classes = [c for c in vars(errors).values()
                    if isinstance(c, type) and issubclass(c, errors.PetraceError)]

@@ -14,6 +14,10 @@ the package imports anything outside the standard library, numpy and
 petrace, at any depth of the code, so an import on a path that no run
 executes cannot bring a dependency back either.
 
+The third runs a sweep in a fresh interpreter: ``import petrace.cli`` alone
+loads neither ``select`` nor ``petrace.forked``, and a sweep, which forks its sub-runs itself, loads
+neither ``concurrent.futures`` nor ``multiprocessing``.
+
 The last two guard against dangling names: every name in a module's
 ``__all__`` exists, and every backticked ``<module>.<name>`` in README.md
 that names a petrace module resolves to an attribute of it.
@@ -68,11 +72,36 @@ with tempfile.TemporaryDirectory() as tmp:
 """
 
 
-def test_runs_need_no_scipy():
+SWEEP_SCRIPT = """
+import sys
+import tempfile
+
+from petrace import cli
+
+assert "select" not in sys.modules and "petrace.forked" not in sys.modules
+with tempfile.TemporaryDirectory() as tmp:
+    code = cli.main(["sweep", "--out", tmp, "--quiet", "--set", "sweep.mode=redecompose",
+                     "--set", "sweep.param=redecompose.atil0", "--set", "sweep.values=0,1"])
+assert code == 0, code
+loaded = [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]
+assert not loaded, loaded
+"""
+
+
+def _run_fresh(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+def test_runs_need_no_scipy():
+    proc = _run_fresh(SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_sweep_loads_no_process_pool():
+    proc = _run_fresh(SWEEP_SCRIPT)
     assert proc.returncode == 0, proc.stderr
 
 
