@@ -171,14 +171,16 @@ def temperature_rates(traj, T_hat: float | None, sigma: int, params=None,
                       tail_fraction: float = 0.5) -> TemperatureReport:
     """Measured temperature decay against the one-sided theoretical bound.
 
-    sigma=0 takes a physical trajectory: the rescaled sup norm
-    max|ctil| = max|c|/a(0) is regressed against (T_hat - t); the decay must
-    be at least as fast as (T-t)^(h_c/2) minus tolerance.  sigma=1 takes a
-    rescaled-frame trajectory and fits the weighted-norm column against the
-    template exp(-p s) s^xi, passing when the plain log-slope stays below
+    sigma=0 takes a physical trajectory that ended in blow-up, as estimate_T
+    and fit_rates do: the rescaled sup norm max|ctil| = max|c|/a(0) is
+    regressed against (T_hat - t); the decay must be at least as fast as
+    (T-t)^(h_c/2) minus tolerance.  sigma=1 takes a rescaled-frame
+    trajectory and fits the weighted-norm column against the template
+    exp(-p s) s^xi, passing when the plain log-slope stays below
     -l/2 + 1/(2 eta0) + tolerance.
     """
     if sigma == 0:
+        _require_blowup(traj)
         ctil = np.asarray(traj.max_c, dtype=float) / np.asarray(traj.a0, dtype=float)
         if float(np.max(np.abs(ctil))) < 1e-250:
             return TemperatureReport(0, math.inf, None, True, trivially_zero=True)

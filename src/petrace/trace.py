@@ -175,46 +175,18 @@ def _rhs(u, h, sigma, P=None):
 def _rk4(f, x, dt, k1):
     """One classical RK4 step over dt of x' = f(*x), the step of both frames.
 
-    x is a tuple of arrays and floats and f returns their derivatives as a
-    tuple of new arrays and floats; k1 is f(*x), which both frames have
-    already computed.  x and k1 are left as they are.
-
-    An array component is combined in place, term by term in the order of
-    x + dt/6 (k1 + 2 k2 + 2 k3 + k4), so it has the same bits: one buffer
-    per component holds each stage's input, and finally the result.  So f
-    must not keep its argument, and the result shares no memory with x or
-    k1.  Floats keep the scalar expressions."""
-    bufs = [np.empty_like(xi) if isinstance(xi, np.ndarray) else None for xi in x]
-
+    x is a tuple of arrays and floats, f returns their derivatives as a
+    tuple of the same kinds, and k1 = f(*x), which both frames already have.
+    Each stage input x + c k and the result x + dt/6 (k1 + 2 k2 + 2 k3 + k4)
+    is new, so nothing is written: f may keep what it is given and returns."""
     def stage(k, c):
-        y = []
-        for xi, ki, buf in zip(x, k, bufs):
-            if buf is None:
-                y.append(xi + c * ki)
-            else:
-                np.multiply(ki, c, out=buf)
-                buf += xi
-                y.append(buf)
-        return f(*y)
+        return f(*(xi + c * ki for xi, ki in zip(x, k)))
 
     k2 = stage(k1, 0.5 * dt)
     k3 = stage(k2, 0.5 * dt)
     k4 = stage(k3, dt)
-    c6 = dt / 6.0
-    out = []
-    for xi, a, b, c, d, buf in zip(x, k1, k2, k3, k4, bufs):
-        if buf is None:
-            out.append(xi + c6 * (a + 2.0 * b + 2.0 * c + d))
-            continue
-        np.multiply(b, 2.0, out=buf)
-        buf += a
-        c *= 2.0  # k3 is f's own array
-        buf += c
-        buf += d
-        buf *= c6
-        buf += xi
-        out.append(buf)
-    return tuple(out)
+    return tuple(xi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                 for xi, a, b, c, d in zip(x, k1, k2, k3, k4))
 
 
 def stable_dt(state: TraceState, cfg: SolverConfig) -> float:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from petrace import cli, errors, initial_data, selfsim, trace
 from petrace.cli import load_config, main
+from petrace.diagnostics import check_initial_closeness
 from petrace.fitting import estimate_T, fit_rates
 from petrace.params import alpha0, reference_sigma0_params, reference_sigma1_params
 from petrace.trace import run_to_blowup
@@ -53,12 +55,29 @@ class TestConfig:
 
     def test_eps_defaults_follow_init_sigma(self):
         # one sigma key: the parameter set is the state's, and eps_a, eps_c
-        # default to that sigma's reference values
+        # default to that sigma's reference values; every other CLI default
+        # equals the library default it mirrors
         for sigma, ref in ((0, reference_sigma0_params()), (1, reference_sigma1_params())):
-            p = cli._params_from(load_config(None, [f"init.sigma={sigma}"]))
-            assert (p.sigma, p.eps_a, p.eps_c) == (sigma, ref.eps_a, ref.eps_c)
+            assert cli._params_from(load_config(None, [f"init.sigma={sigma}"])) == ref
         p = cli._params_from(load_config(None, ["init.sigma=1", "params.eps_c=0.95"]))
         assert (p.eps_a, p.eps_c) == (0.75, 0.95)
+        cfg = load_config(None, [])
+        assert cli._solver_from(cfg) == trace.SolverConfig()
+        run_cfg = selfsim.SelfsimConfig(s_end=1.0)
+        assert ((cfg["selfsim.ds_safety"], cfg["selfsim.stride"])
+                == (run_cfg.ds_safety, run_cfg.stride))
+        spec = cli._spec_from(cfg)
+        assert spec == initial_data.InitialDataSpec(spec.lambda0, spec.nu0, spec.sigma)
+        for fit in (estimate_T, fit_rates):
+            tail = inspect.signature(fit).parameters["tail_fraction"].default
+            assert cfg["fit.tail_fraction"] == tail
+        # the closeness verdict bounds |atil(0)|, |atil_z(0)| and the zero
+        # average by the tolerances the rescaled frame holds its states to
+        state = initial_data.build_profile_data(spec, 257)
+        ss = selfsim.decompose(state.a, state.c, 0, spec.s0)
+        bounds = [c.bound for c in check_initial_closeness(ss, cli._params_from(cfg)).checks
+                  if c.line in ("orthogonality", "zero-average")]
+        assert bounds == [selfsim._ORTH_TOL_VALUE, selfsim._ORTH_TOL_SLOPE, selfsim._INT_TOL]
 
     def test_bad_value_rejected(self):
         assert run_cli("alpha0", "--set", "init.n=abc") == 2

@@ -12,7 +12,7 @@ from petrace.errors import FitDegenerate
 from petrace.fitting import _linfit, estimate_T, fit_rates, temperature_rates
 from petrace.initial_data import InitialDataSpec, build_profile_data
 from petrace.params import fixed_diffusive_choice, reference_sigma0_params
-from petrace.trace import SolverConfig, Trajectory, run_to_blowup
+from petrace.trace import SolverConfig, Trajectory, run_to_blowup, run_to_time
 
 
 def synthetic_trajectory(t, max_a, probes_Z=(0.0, 0.25, 0.5), T=None, max_c=None,
@@ -210,6 +210,23 @@ class TestTemperatureRates:
         traj = synthetic_trajectory(t, 1.0 / (T - t))
         rep = temperature_rates(traj, T, 0, params=reference_sigma0_params())
         assert rep.trivially_zero and rep.passed
+
+    def test_sigma0_takes_only_a_blowup_trajectory(self):
+        # like estimate_T and fit_rates: a run stopped at half its blow-up
+        # time has a decaying temperature, but no blow-up to fit it against
+        spec = InitialDataSpec(1e-2, 1.0 / (2.0 * math.log(100.0)), 0, kappa=1.0,
+                               perturbation_family="tail_balance")
+        st = build_profile_data(spec, 257)
+        T_hat = estimate_T(run_to_blowup(st, SolverConfig()))
+        traj = run_to_time(st, SolverConfig(), 0.5 * T_hat)
+        assert traj.reason == "t_max"
+        with pytest.raises(FitDegenerate, match="not blow-up"):
+            temperature_rates(traj, T_hat, 0, params=reference_sigma0_params())
+        # the zero-temperature shortcut too
+        t = 1.0 - np.logspace(-1, -4, 200)
+        zero = synthetic_trajectory(t, 1.0 / (1.0 - t), reason="t_max")
+        with pytest.raises(FitDegenerate, match="not blow-up"):
+            temperature_rates(zero, 1.0, 0, params=reference_sigma0_params())
 
     def test_sigma1_template_recovery(self):
         from petrace.selfsim import SelfsimTrajectory

@@ -158,18 +158,38 @@ class TestStep:
             assert np.all(np.abs(got - taylor) <= 4 * np.finfo(float).eps * np.abs(taylor))
 
     def test_rk4_leaves_its_inputs_and_returns_fresh_arrays(self):
-        # the stages are combined in place, in buffers of the step's own:
-        # read-only inputs are fine, and neither x nor the given k1 is
-        # written or returned
-        ka, kb, dt = np.array([-1.5, 0.5, 2.0]), -0.75, 0.1
-        x = (np.array([1.0, -2.0, 3.0]), 0.8)
-        k1 = (ka * x[0], kb * x[1])
+        # the step is its formula: every stage input and the result are new,
+        # so f may keep each array it is given or returns, read-only inputs
+        # are fine, and neither x nor the given k1 is written or returned
+        ka, kb, kc, dt = np.array([-1.5, 0.5, 2.0]), -0.75, 0.3, 0.1
+        x = (np.array([1.0, -2.0, 3.0]), 0.8, -0.4)
+        k1 = (ka * x[0], kb * x[1], kc * x[2])
         x[0].flags.writeable = k1[0].flags.writeable = False
-        x0, k10 = x[0].copy(), k1[0].copy()
-        va, vb = trace._rk4(lambda va, vb: (ka * va, kb * vb), x, dt, k1)
-        assert np.array_equal(x[0], x0) and np.array_equal(k1[0], k10)
-        assert not np.shares_memory(va, x[0]) and not np.shares_memory(va, k1[0])
-        assert isinstance(vb, float)
+        kept = [(x[0], x[0].copy()), (k1[0], k1[0].copy())]  # (array, its copy when made)
+        inputs, stages = [], []
+
+        def f(va, vb, vc):
+            k = (ka * va, kb * vb, kc * vc)
+            kept.extend([(va, va.copy()), (k[0], k[0].copy())])
+            inputs.append((va, vb, vc))
+            stages.append(k)
+            return k
+
+        out = trace._rk4(f, x, dt, k1)
+        for v, copy in kept:
+            assert np.array_equal(v, copy)
+        assert not any(np.shares_memory(out[0], v) for v, _ in kept)
+        assert isinstance(out[1], float) and isinstance(out[2], float)
+
+        def same_bits(got, want):
+            return all(np.asarray(g).tobytes() == np.asarray(w).tobytes()
+                       for g, w in zip(got, want))
+
+        k2, k3, k4 = stages
+        for y, k, c in zip(inputs, (k1, k2, k3), (0.5 * dt, 0.5 * dt, dt)):
+            assert same_bits(y, [xi + c * ki for xi, ki in zip(x, k)])
+        assert same_bits(out, [xi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                               for xi, a, b, c, d in zip(x, k1, k2, k3, k4)])
 
     # the stepped state is built without the validation; it must carry what
     # the validation would have found
