@@ -3,8 +3,8 @@
 Configs are flat ``section.key = value`` text files (``#`` comments, one
 dot of nesting).  Every run writes the fully resolved configuration next
 to its results, so re-running a resolved config reproduces the outputs
-bit-identically.  Exit codes: 0 success, 2 configuration/validation
-failure, 3 numerical failure.
+bit-identically.  Exit codes: 0 success, 3 numerical failure, 2 any
+other failure (configuration, validation, a file that cannot be written).
 """
 from __future__ import annotations
 
@@ -30,34 +30,34 @@ from .trace import SolverConfig, Trajectory, _write_csv, run_to_blowup
 REGISTRY = {
     "mode": "alpha0",
     "solver.n": 1025,               # not read: init.n sets the grid
-    "solver.dt_safety": 0.5,
+    "solver.dt_safety": SolverConfig.dt_safety,
     "solver.blowup_cap": math.nan,  # nan: 1e6 * max|a0|
-    "solver.t_max": math.inf,
-    "solver.max_steps": 5_000_000,
+    "solver.t_max": SolverConfig.t_max,
+    "solver.max_steps": SolverConfig.max_steps,
     "solver.probe_z": "0,0.25,0.5",
     "selfsim.s_end": math.nan,      # nan: s0 + 5
-    "selfsim.ds_safety": 0.25,
-    "selfsim.stride": 1,
-    "params.alpha": 2.0,
-    "params.gamma": 2.0,
-    "params.k": 1.5,
-    "params.eta0": 4,
-    "params.h_a": 4.0 / 3.0,
-    "params.h_c": 0.5,
-    "params.l": 1.0,
+    "selfsim.ds_safety": selfsim.SelfsimConfig.ds_safety,
+    "selfsim.stride": selfsim.SelfsimConfig.stride,
+    "params.alpha": reference_sigma0_params().alpha,
+    "params.gamma": reference_sigma0_params().gamma,
+    "params.k": reference_sigma1_params().k,
+    "params.eta0": reference_sigma1_params().eta0,
+    "params.h_a": reference_sigma0_params().h_a,
+    "params.h_c": reference_sigma0_params().h_c,
+    "params.l": reference_sigma1_params().l,
     "params.eps_a": math.nan,       # nan: the reference value for init.sigma
     "params.eps_c": math.nan,       # nan: the reference value for init.sigma
-    "params.M": 2.0,
-    "params.N": 4.0,
-    "params.N0": 3.0,
-    "params.z_star": 4.0,
-    "params.delta": 0.1,
+    "params.M": FrameworkParams.M,
+    "params.N": FrameworkParams.N,
+    "params.N0": FrameworkParams.N0,
+    "params.z_star": FrameworkParams.z_star,
+    "params.delta": FrameworkParams.delta,
     "init.lambda0": 1e-3,
     "init.nu0": math.nan,           # nan: 1/(2 log(1/lambda0))
     "init.sigma": 0,
-    "init.kappa": 0.0,
-    "init.family": "none",
-    "init.seed": 0,
+    "init.kappa": initial_data.InitialDataSpec.kappa,
+    "init.family": initial_data.InitialDataSpec.perturbation_family,
+    "init.seed": initial_data.InitialDataSpec.seed,
     "init.n": 2049,
     "fit.trajectory": "",
     "fit.tail_fraction": 0.25,
@@ -366,7 +366,7 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, PetraceError, ValueError) as exc:
+    except (ConfigError, PetraceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

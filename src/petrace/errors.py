@@ -13,8 +13,8 @@ class NumericalFailure(PetraceError):
 
 class TimeStepUnderflow(NumericalFailure):
     """Stable time step fell below its floor: imminent blow-up or exhausted
-    spatial resolution.  The runs of both frames (run_to_blowup,
-    run_to_time, run_selfsim) raise it."""
+    spatial resolution.  The run loop of both frames, trace._march, which
+    picks every step, raises it."""
 
 
 class DegenerateTrace(PetraceError):

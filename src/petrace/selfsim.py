@@ -31,8 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import diagnostics
-from .errors import (ConstraintLost, DegenerateTrace, NonFiniteState, ScaleFitFailure,
-                     TimeStepUnderflow)
+from .errors import ConstraintLost, DegenerateTrace, NonFiniteState, ScaleFitFailure
 from .grid import Field, Grid, cn_half, cumulative, d1, d1_at_lo, definite
 from .trace import _march, _rk4, _write_csv
 
@@ -547,10 +546,7 @@ def run_selfsim(st0: SelfSimilarState, cfg: SelfsimConfig) -> SelfsimTrajectory:
     if cfg.s_end < st0.s:
         raise ValueError(f"s_end={cfg.s_end:g} lies before the start s={st0.s:g}")
 
-    def advance(st, left):
-        ds = min(stable_ds(st, cfg.ds_safety), left)
-        if ds < _DS_FLOOR:
-            raise TimeStepUnderflow(f"ds={ds:g} below floor at s={st.s:g}")
+    def advance(st, ds):
         st = step_selfsim(st, ds)
         if st._lost_defect is not None:
             raise ConstraintLost(f"zero-average defect {st._lost_defect:.3g} above the "
@@ -569,5 +565,5 @@ def run_selfsim(st0: SelfSimilarState, cfg: SelfsimConfig) -> SelfsimTrajectory:
                 float(st.ctil.values[-1]))
 
     arr, st, stop = _march(st0, lambda st: st.s, cfg.s_end, _DS_FLOOR, cfg.max_steps,
-                           advance, row, cfg.stride)
+                           lambda st: stable_ds(st, cfg.ds_safety), advance, row, cfg.stride)
     return SelfsimTrajectory(*arr.T, final_state=st, reason="s_end" if stop == "end" else stop)

@@ -201,8 +201,8 @@ def stable_dt(state: TraceState, cfg: SolverConfig) -> float:
     return cfg.dt_safety * dt
 
 
-def step(state: TraceState, cfg: SolverConfig, dt_cap: float | None = None) -> StepResult:
-    """One time step.
+def step(state: TraceState, cfg: SolverConfig, dt: float) -> StepResult:
+    """One time step over exactly dt; the run loop ``_march`` picks it.
 
     Explicit RK4 on the advection/reaction part; for sigma=1 the diffusion
     is wrapped around it as two unconditionally stable Crank-Nicolson half
@@ -212,25 +212,18 @@ def step(state: TraceState, cfg: SolverConfig, dt_cap: float | None = None) -> S
     The step reads the state's stacked rows and running integrals, and
     the stepped state passes the checks of a constructed one.
 
-    Raises ValueError for a ``dt_cap`` that is not positive (NaN
-    included), TimeStepUnderflow when the stable step falls below
-    ``_DT_FLOOR``, and NonFiniteState when a sample of the result is not
-    finite: the step ran away.
+    Raises ValueError unless 0 < dt < inf (NaN included), and
+    NonFiniteState when a sample of the result is not finite: the step ran
+    away.
     """
-    if dt_cap is not None and not dt_cap > 0.0:
-        raise ValueError(f"dt_cap must be positive, got {dt_cap!r}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     cap = cfg.blowup_cap if cfg.blowup_cap is not None else math.inf
     if state.max_a >= cap:
         return StepResult(state, 0.0, True)
 
     h, sigma = state.grid.h, state.sigma
     u, P = state._rows, state._P
-    dt = stable_dt(state, cfg)
-    if dt_cap is not None:
-        dt = min(dt, dt_cap)
-    if dt < _DT_FLOOR:
-        raise TimeStepUnderflow(f"dt={dt:g} below floor {_DT_FLOOR:g} at t={state.t:g}")
-
     if sigma == 1:
         u = u.copy()  # the state's rows are read-only
         u[1] = cn_half(u[1], h, 0.5 * dt)
@@ -367,14 +360,16 @@ def run_to_time(state0: TraceState, cfg: SolverConfig, t_end: float) -> Trajecto
     return _run(state0, replace(cfg, t_max=t_end))
 
 
-def _march(x, clock, end, floor, max_steps, advance, row, stride=1):
+def _march(x, clock, end, floor, max_steps, stable, advance, row, stride=1):
     """The run loop of both frames: step x until ``clock(x)`` lands on
     ``end`` within max(floor, 1e-15 end), which is checked before the step
-    budget of ``max_steps``.  ``advance(x, left)`` steps at most ``left``
-    and returns the next x, or None on blow-up.  ``row(x)`` tabulates the
-    start, every ``stride``-th step and the final x, always the last row.
-    Returns the rows as a float64 array, the final x and the stop reason
-    ("end", "max_steps" or "blowup").
+    budget of ``max_steps``.  The loop picks every step: the stable step
+    ``stable(x)``, clipped to the time left, and raises TimeStepUnderflow
+    when it falls below ``floor``.  ``advance(x, dt)`` steps over exactly
+    dt and returns the next x, or None on blow-up.  ``row(x)`` tabulates
+    the start, every ``stride``-th step and the final x, always the last
+    row.  Returns the rows as a float64 array, the final x and the stop
+    reason ("end", "max_steps" or "blowup").
 
     Each row is appended to one array("d") as it is made, not kept as a
     tuple of boxed floats, and the rows are returned as a view of it."""
@@ -388,7 +383,10 @@ def _march(x, clock, end, floor, max_steps, advance, row, stride=1):
         if k == max_steps:
             reason = "max_steps"
             break
-        nxt = advance(x, left)
+        dt = min(stable(x), left)
+        if dt < floor:
+            raise TimeStepUnderflow(f"step {dt:g} below floor {floor:g} at time {clock(x):g}")
+        nxt = advance(x, dt)
         if nxt is None:
             reason = "blowup"
             break
@@ -411,8 +409,8 @@ def _run(state0: TraceState, cfg: SolverConfig) -> Trajectory:
     idx = _probe_indices(state0.grid, cfg.probe_Z)
     h = state0.grid.h
 
-    def advance(res: StepResult, left: float):
-        res = step(res.state, cfg, dt_cap=left)
+    def advance(res: StepResult, dt: float):
+        res = step(res.state, cfg, dt)
         return None if res.blowup else res
 
     def row(res: StepResult):
@@ -422,7 +420,8 @@ def _run(state0: TraceState, cfg: SolverConfig) -> Trajectory:
                 res.mean_drift_rate, *va[idx])
 
     arr, last, stop = _march(StepResult(state0, 0.0, False), lambda res: res.state.t,
-                             cfg.t_max, _DT_FLOOR, cfg.max_steps, advance, row)
+                             cfg.t_max, _DT_FLOOR, cfg.max_steps,
+                             lambda res: stable_dt(res.state, cfg), advance, row)
     return Trajectory(*arr.T[:8], probe_Z=tuple(i / (state0.grid.n - 1) for i in idx),
                       probes=arr[:, 8:], reason="t_max" if stop == "end" else stop,
                       final_state=last.state)

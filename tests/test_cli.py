@@ -89,6 +89,14 @@ class TestConfig:
     def test_unknown_mode_rejected(self):
         assert run_cli("explode") == 2
 
+    # an output directory that cannot be made is an error of the input
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run_cli("simulate", "--out", str(out), "--quiet", "--set", "init.n=129") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestModes:
     def test_alpha0_prints_root(self, capsys):

@@ -454,7 +454,7 @@ class TestRun:
     def test_step_below_floor_raises_underflow(self, monkeypatch):
         st = balanced_state(s0=12.0, c_amp=1e-4)
         monkeypatch.setattr(selfsim, "stable_ds", lambda st, ds_safety: 1e-13)
-        with pytest.raises(TimeStepUnderflow, match="below floor at s=12"):
+        with pytest.raises(TimeStepUnderflow, match="below floor 1e-12 at time 12$"):
             run_selfsim(st, SelfsimConfig(s_end=13.0))
 
     def test_bare_profile_step_keeps_its_defect(self):

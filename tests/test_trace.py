@@ -197,7 +197,7 @@ class TestStep:
     def test_stepped_state_equals_a_validated_one(self, sigma):
         st = profile_state(0.5, 0.25, 129, sigma=sigma, c_amp=0.1)
         a0, c0 = st.a.values.copy(), st.c.values.copy()
-        new = step(st, SolverConfig()).state
+        new = step(st, SolverConfig(), trace.stable_dt(st, SolverConfig())).state
         g = new.grid
         ref = TraceState(Field(g, new.a.values), Field(g, new.c.values), sigma, new.t)
         for name in ("mean_a", "max_a", "max_c"):
@@ -208,7 +208,8 @@ class TestStep:
 
     def test_zero_state_unchanged(self):
         st = zero_state()
-        res = step(st, SolverConfig(blowup_cap=10.0))
+        cfg = SolverConfig(blowup_cap=10.0)
+        res = step(st, cfg, trace.stable_dt(st, cfg))
         assert res.dt > 0
         assert res.state.t == res.dt
         assert res.state.a.max_abs() == 0.0
@@ -216,7 +217,7 @@ class TestStep:
 
     def test_blowup_flag_no_step(self):
         st = profile_state(0.1, 0.2, 129)
-        res = step(st, SolverConfig(blowup_cap=1.0))
+        res = step(st, SolverConfig(blowup_cap=1.0), 1e-3)
         assert res.blowup
         assert res.state is st
 
@@ -231,7 +232,7 @@ class TestStep:
             s = st
             dt = T / nsteps
             for _ in range(nsteps):
-                s = step(s, cfg, dt_cap=dt).state
+                s = step(s, cfg, dt).state
             return s.a.values
 
         ref = advance(2048)
@@ -250,7 +251,7 @@ class TestStep:
             s = st
             dt = T / nsteps
             for _ in range(nsteps):
-                s = step(s, cfg, dt_cap=dt).state
+                s = step(s, cfg, dt).state
             return s.c.values
 
         ref = advance(128)
@@ -264,13 +265,10 @@ class TestStep:
     def test_overflowing_step_raises_non_finite_state(self, monkeypatch, sigma):
         st = profile_state(0.5, 0.25, 129, sigma=sigma, c_amp=0.1)
         huge = TraceState(Field(st.grid, 1e200 * st.a.values), st.c, sigma)
-        # the huge state's own stable step is below the floor, so it takes
-        # the step of the state it scales
+        # the huge state takes the stable step of the state it scales
         dt = trace.stable_dt(st, SolverConfig())
-        with monkeypatch.context() as m:
-            m.setattr(trace, "stable_dt", lambda state, cfg: dt)
-            with pytest.raises(NonFiniteState, match="non-finite samples"):
-                step(huge, SolverConfig())
+        with pytest.raises(NonFiniteState, match="non-finite samples"):
+            step(huge, SolverConfig(), dt)
         # only c overflows: a huge rate of c in the last RK stage leaves a
         # finite, so only the scan of the c row can catch it
         rhs, calls = trace._rhs, []
@@ -284,7 +282,7 @@ class TestStep:
 
         monkeypatch.setattr(trace, "_rhs", last_stage_overflows_c)
         with pytest.raises(NonFiniteState, match="non-finite samples"):
-            step(st, SolverConfig())
+            step(st, SolverConfig(), dt)
         assert len(calls) == 4 and np.isfinite(calls[-1][0]).all()
 
     def test_mean_projected_every_step(self):
@@ -292,7 +290,7 @@ class TestStep:
         cfg = SolverConfig(blowup_cap=1e9)
         s = st
         for _ in range(20):
-            s = step(s, cfg).state
+            s = step(s, cfg, trace.stable_dt(s, cfg)).state
             assert abs(definite(s.a.values, s.grid.h)) <= 1e-10 * max(1.0, s.a.max_abs())
 
 
@@ -359,11 +357,19 @@ class TestRuns:
         with pytest.raises(ValueError, match="t_max"):
             run_to_time(st, SolverConfig(max_steps=50), t_end)
 
-    @pytest.mark.parametrize("dt_cap", [math.nan, 0.0, -1.0])
-    def test_step_rejects_a_dt_cap_that_is_not_positive(self, dt_cap):
+    @pytest.mark.parametrize("dt", [math.nan, 0.0, -1.0, math.inf])
+    def test_step_rejects_a_dt_outside_zero_to_inf(self, dt):
         st = profile_state(0.5, 0.25, 65)
-        with pytest.raises(ValueError, match="dt_cap"):
-            step(st, SolverConfig(), dt_cap=dt_cap)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            step(st, SolverConfig(), dt)
+
+    # the run loop picks the step; step takes the dt it is given, also one
+    # above the stable bound
+    def test_step_takes_exactly_the_dt_it_is_given(self):
+        st = profile_state(0.5, 0.25, 129)
+        dt = 4.0 * trace.stable_dt(st, SolverConfig())
+        res = step(st, SolverConfig(), dt)
+        assert res.dt == dt and res.state.t == st.t + dt
 
     def test_run_to_time_lands_exactly(self):
         st = profile_state(0.5, 0.25, 129)
